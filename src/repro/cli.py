@@ -810,8 +810,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    from repro.core import TahoeEngine
-    from repro.core.fil import FILEngine, fil_conversion_key
+    from repro.core import engine_class
     from repro.modelstore import pack_layout
 
     spec = GPU_SPECS[args.gpu]
@@ -824,18 +823,13 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     if node_width is not None and node_width != "auto":
         node_width = int(node_width)
     config = TahoeConfig(node_width=node_width, threshold_mode=args.threshold_mode)
-    if args.engine == "fil":
-        engine = FILEngine(forest, spec, config=config)
-        conversion_key = fil_conversion_key(config)
-    else:
-        engine = TahoeEngine(forest, spec, config=config)
-        conversion_key = config.conversion_key()
+    engine = engine_class(None, args.engine)(forest, spec, config=config)
     result = pack_layout(
         engine.layout,
         args.out,
         engine=args.engine,
         spec_name=spec.name,
-        conversion_key=conversion_key,
+        conversion_key=engine.conversion_key(),
         source_fingerprint=fingerprint,
     )
     stats = engine.conversion_stats

@@ -1,8 +1,8 @@
 """The unified engine surface: one protocol, one result shape.
 
 Every engine in :mod:`repro.core` — :class:`~repro.core.engine.TahoeEngine`,
-:class:`~repro.core.fil.FILEngine` and
-:class:`~repro.core.multi.MultiGPUTahoeEngine` — conforms to the
+:class:`~repro.core.fil.FILEngine`, :class:`~repro.core.native.NativeEngine`
+and :class:`~repro.core.multi.MultiGPUTahoeEngine` — conforms to the
 :class:`Engine` protocol:
 
 * construction is ``Engine(forest, spec, *, config=..., hardware=...,
@@ -15,10 +15,9 @@ Every engine in :mod:`repro.core` — :class:`~repro.core.engine.TahoeEngine`,
 * an empty inference batch raises ``ValueError("empty inference
   batch")`` instead of failing mid-batch.
 
-The v1.1 positional call shapes (``TahoeEngine(forest, spec, config)``
-and friends) had a one-release deprecation grace period; it is over and
-the shims are gone — everything after ``(forest, spec)`` is genuinely
-keyword-only now.
+All four report through :class:`EngineBase`; the first three share
+the rest of their implementation through
+:class:`~repro.core.engine.PipelineEngine`.
 """
 
 from __future__ import annotations
@@ -36,10 +35,12 @@ if TYPE_CHECKING:
 __all__ = [
     "ConversionStats",
     "Engine",
+    "EngineBase",
     "EngineResult",
     "TIME_DOMAIN_SIMULATED",
     "TIME_DOMAIN_WALL",
     "check_batch",
+    "prediction_buffer",
 ]
 
 
@@ -135,9 +136,46 @@ class Engine(Protocol):
     def build_report(self, **meta) -> "RunReport": ...
 
 
+class EngineBase:
+    """What every engine class shares: its report name (``engine_name``),
+    its clock (``time_domain``) and :meth:`build_report`.  Instances
+    carry ``spec`` and ``recorder``."""
+
+    engine_name: str
+    time_domain = TIME_DOMAIN_SIMULATED
+
+    def build_report(
+        self,
+        n_samples: int = 0,
+        batch_size: int | None = None,
+        total_time: float = 0.0,
+        **meta,
+    ) -> "RunReport":
+        """Assemble the engine's telemetry into a :class:`RunReport`."""
+        for key, value in self._report_meta().items():
+            meta.setdefault(key, value)
+        return self.recorder.build_report(
+            engine=self.engine_name,
+            gpu=self.spec.name,
+            n_samples=n_samples,
+            batch_size=batch_size,
+            total_time=total_time,
+            **meta,
+        )
+
+    def _report_meta(self) -> dict:
+        return {}
+
+
 def check_batch(X: np.ndarray) -> np.ndarray:
     """Coerce an inference batch to float32 and reject empty input."""
     X = np.asarray(X, dtype=np.float32)
     if X.shape[0] == 0:
         raise ValueError("empty inference batch")
     return X
+
+
+def prediction_buffer(n: int, n_classes: int) -> np.ndarray:
+    """Zeroed float64 predictions: ``(n,)``, or ``(n, n_classes)`` for
+    multiclass forests."""
+    return np.zeros((n, n_classes) if n_classes > 1 else n, dtype=np.float64)

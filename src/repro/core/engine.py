@@ -1,4 +1,4 @@
-"""The Tahoe engine (Algorithm 1).
+"""The engine skeleton and the Tahoe engine (Algorithm 1).
 
 Workflow, exactly as the paper stages it:
 
@@ -13,15 +13,29 @@ Workflow, exactly as the paper stages it:
 * **Per batch** — evaluate the four performance models, execute the
   strategy with the shortest predicted time, and (optionally) count edge
   probabilities observed during inference for the next conversion.
+
+:class:`PipelineEngine` is that workflow with the engine-specific steps
+left as hooks; :class:`TahoeEngine`,
+:class:`~repro.core.fil.FILEngine` and
+:class:`~repro.core.native.NativeEngine` differ only in the hooks they
+supply (layout recipe and cache key, the stage-5 ship, and the
+per-batch predict and explain executors).
 """
 
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.base import ConversionStats, EngineResult, check_batch
+from repro.core.base import (
+    ConversionStats,
+    EngineBase,
+    EngineResult,
+    check_batch,
+    prediction_buffer,
+)
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.obs.recorder import RunRecorder
@@ -30,6 +44,7 @@ from repro.formats.layout import ForestLayout, NodeRecordLayout, build_interleav
 from repro.formats.node_rearrange import rearrange_forest_nodes
 from repro.formats.tree_rearrange import similarity_tree_order
 from repro.gpusim.specs import GPUSpec
+from repro.gpusim.trace import flatten_layout
 from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.notation import HardwareParams
 from repro.perfmodel.selector import rank_explain_strategies, rank_strategies
@@ -37,7 +52,16 @@ from repro.strategies import StrategyNotApplicable, StrategyResult
 from repro.trees.forest import Forest
 from repro.trees.probabilities import update_visit_counts
 
-__all__ = ["ConversionStats", "EngineResult", "TahoeEngine", "convert_forest"]
+if TYPE_CHECKING:
+    from repro.explain import ExplainResult
+
+__all__ = [
+    "ConversionStats",
+    "EngineResult",
+    "PipelineEngine",
+    "TahoeEngine",
+    "convert_forest",
+]
 
 
 def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, ConversionStats]:
@@ -104,8 +128,21 @@ def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, C
     return layout, stats
 
 
-class TahoeEngine:
-    """Tree structure-aware adaptive inference engine.
+class PipelineEngine(EngineBase):
+    """Algorithm 1 as one skeleton: hardware, conversion, batch driver.
+
+    Construction runs the online conversion (or adopts a cached or
+    packed layout); :meth:`predict` and :meth:`explain` share one batch
+    driver (input check, batch-size normalisation, output allocation
+    shaped by ``n_classes``, result assembly).  A concrete engine sets
+    ``engine_name`` (and ``time_domain`` when not simulated) and
+    supplies the per-batch executors ``_predict_batch`` and
+    ``_explain_batch``, which record their own telemetry.  The other
+    hooks default to the adaptive pipeline shipped to the simulated GPU:
+    ``_default_hardware``, the layout recipe ``_build_layout`` with its
+    cache key ``conversion_key``, the stage-5 ``_ship``, per-layout
+    executor state ``_install``, ``_after_predict``, and
+    :class:`~repro.core.base.EngineBase`'s ``_report_meta``.
 
     Everything after ``(forest, spec)`` is keyword-only (the shared
     :class:`~repro.core.base.Engine` surface).
@@ -113,7 +150,7 @@ class TahoeEngine:
     Args:
         forest: trained forest (visit counts carry the edge
             probabilities learned during training).
-        spec: GPU to run on.
+        spec: GPU to run on (and part of the layout-cache key).
         config: engine configuration; defaults are the paper's
             (default-constructed per engine when omitted).
         hardware: pre-measured hardware parameters (reuse across engines
@@ -151,7 +188,7 @@ class TahoeEngine:
         self.recorder = recorder if recorder is not None else RunRecorder(
             tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
         )
-        self.hardware = hardware or measure_hardware_parameters(spec)
+        self.hardware = hardware or self._default_hardware(spec)
         self.layout_cache = layout_cache
         self.layout: ForestLayout | None = None
         self.conversion_stats = ConversionStats()
@@ -167,7 +204,7 @@ class TahoeEngine:
         hardware: HardwareParams | None = None,
         recorder: RunRecorder | None = None,
         layout_cache: LayoutCache | None = None,
-    ) -> "TahoeEngine":
+    ) -> PipelineEngine:
         """Build an engine around an already-converted layout.
 
         This is the packed-artifact fast path
@@ -192,6 +229,7 @@ class TahoeEngine:
         self.layout = layout
         self.forest = layout.forest
         stats.node_encoding = layout.record.encoding_label
+        self._install()
         self.conversion_stats = stats
         self.recorder.record_conversion(stats)
         if self.layout_cache is not None and cache_key is not None:
@@ -204,7 +242,7 @@ class TahoeEngine:
         cache_key = None
         if self.layout_cache is not None:
             t0 = time.perf_counter()
-            cache_key = LayoutCache.key(forest, self.spec, self.config.conversion_key())
+            cache_key = LayoutCache.key(forest, self.spec, self.conversion_key())
             cached = self.layout_cache.get(cache_key)
             lookup = time.perf_counter() - t0
             if cached is not None:
@@ -222,14 +260,9 @@ class TahoeEngine:
             trees=forest.n_trees,
             nodes=forest.n_nodes,
         ):
-            layout, stats = convert_forest(forest, self.config)
+            layout, stats = self._build_layout(forest)
             t4 = time.perf_counter()
-            # Stage 5: copy the converted forest "to GPU" — materialise
-            # the flat device image (address/record arrays).
-            with span("copy_to_gpu", category="conversion", bytes=layout.total_bytes):
-                from repro.gpusim.trace import flatten_layout
-
-                flatten_layout(layout)
+            self._ship(layout)
             stats.t_copy_to_gpu = time.perf_counter() - t4
         self._adopt_layout(layout, stats, cache_key)
 
@@ -239,15 +272,8 @@ class TahoeEngine:
         return self.conversion_stats
 
     # ------------------------------------------------------------------
-    # Inference (Algorithm 1, lines 8-16)
+    # The batch driver shared by predict and explain
     # ------------------------------------------------------------------
-    def select_strategy_name(self, n_batch: int) -> str:
-        """The strategy the performance models pick for this batch size."""
-        ranked = rank_strategies(self.layout, n_batch, self.spec, self.hardware)
-        if self.config.strategy_override is not None:
-            return self.config.strategy_override
-        return ranked[0].name
-
     def predict(
         self,
         X: np.ndarray,
@@ -265,32 +291,129 @@ class TahoeEngine:
                 the paper's high-parallelism regime uses 100K, the
                 low-parallelism one 100.
             collect_level_stats: gather per-level coalescing statistics
-                on each batch (figure 2a analysis).
+                on each batch (figure 2a analysis; engines without a
+                simulated memory system ignore it).
             report: attach this run's :class:`RunReport` to the result
-                (conversions, per-batch decisions with predicted vs.
-                simulated times, traffic metrics).
+                (conversions, per-batch decisions, traffic metrics).
+
+        ``total_time`` is in the engine's ``time_domain``: simulated GPU
+        seconds, or wall seconds for the native backend.
         """
+        return self._drive("predict", X, batch_size, report, collect_level_stats)
+
+    def explain(
+        self,
+        X: np.ndarray,
+        *,
+        batch_size: int | None = None,
+        report: bool = False,
+    ) -> ExplainResult:
+        """Exact SHAP attributions for ``X``, batch by batch.
+
+        The explain analogue of :meth:`predict` on the same driver.
+        Returns an :class:`~repro.explain.ExplainResult` whose
+        attributions are in raw-margin space
+        (``base_values + attributions.sum(axis=1)`` reconstructs the
+        pre-link margins exactly).
+        """
+        return self._drive("explain", X, batch_size, report)
+
+    def _drive(self, call, X, batch_size, report, collect_level_stats=False):
+        """The batch driver behind ``predict`` and ``explain`` (``call``)."""
         X = check_batch(X)
         n = X.shape[0]
         if batch_size is None or batch_size >= n:
             batch_size = n
-        if self.forest.n_classes > 1:
-            predictions = np.zeros((n, self.forest.n_classes), dtype=np.float64)
+        K = self.forest.n_classes
+        explain = call == "explain"
+        if explain:
+            # Attributions plus raw margins, always with a class axis.
+            phi = np.zeros((n, self.forest.n_attributes, K), dtype=np.float64)
+            out = np.zeros((n, K), dtype=np.float64)
         else:
-            predictions = np.zeros(n, dtype=np.float64)
+            out = prediction_buffer(n, K)
         batches: list[StrategyResult] = []
-        used: list[str] = []
-        total_time = 0.0
         with self.recorder.activate(), span(
-            "engine.predict", category="engine", samples=n, batch_size=batch_size
+            f"engine.{call}", category="engine", samples=n, batch_size=batch_size
         ):
             for index, start in enumerate(range(0, n, batch_size)):
-                rows = np.arange(start, min(start + batch_size, n), dtype=np.int64)
-                result = self._run_batch(X, rows, collect_level_stats, index)
-                predictions[rows] = result.predictions
+                stop = min(start + batch_size, n)
+                if explain:
+                    result = self._explain_batch(X, start, stop, index)
+                    phi[start:stop] = result.attributions
+                else:
+                    result = self._predict_batch(X, start, stop, index, collect_level_stats)
+                out[start:stop] = result.predictions
                 batches.append(result)
-                used.append(result.strategy)
-                total_time += result.time
+        total_time = sum(b.time for b in batches)
+        if not explain:
+            self._after_predict(X)
+        common = dict(
+            total_time=total_time,
+            batches=batches,
+            strategies_used=[b.strategy for b in batches],
+            report=self.build_report(n_samples=n, batch_size=batch_size, total_time=total_time)
+            if report
+            else None,
+            time_domain=self.time_domain,
+        )
+        if not explain:
+            return EngineResult(predictions=out, **common)
+        from repro.explain import ExplainResult, squeeze_single_class
+
+        phi, base, margins = squeeze_single_class(phi, batches[-1].base_values, out)
+        return ExplainResult(attributions=phi, base_values=base, predictions=margins, **common)
+
+    # ------------------------------------------------------------------
+    # Hooks (defaults: the adaptive pipeline on the simulated GPU)
+    # ------------------------------------------------------------------
+    def _default_hardware(self, spec: GPUSpec) -> HardwareParams | None:
+        return measure_hardware_parameters(spec)
+
+    def conversion_key(self) -> tuple:
+        """The recipe's part of the layout-cache key (and of a packed
+        artifact's header)."""
+        return self.config.conversion_key()
+
+    def _build_layout(self, forest: Forest) -> tuple[ForestLayout, ConversionStats]:
+        return convert_forest(forest, self.config)
+
+    def _ship(self, layout: ForestLayout) -> None:
+        # Stage 5: copy the converted forest "to GPU" — materialise the
+        # flat device image (address/record arrays).
+        with span("copy_to_gpu", category="conversion", bytes=layout.total_bytes):
+            flatten_layout(layout)
+
+    def _install(self) -> None:
+        pass
+
+    def _after_predict(self, X: np.ndarray) -> None:
+        pass
+
+
+class TahoeEngine(PipelineEngine):
+    """Tree structure-aware adaptive inference engine.
+
+    The :class:`PipelineEngine` defaults (adaptive conversion, simulated
+    GPU ship) plus model-guided execution: every batch ranks the
+    strategy family with the §6 performance models and runs the
+    cheapest applicable one.  Constructor arguments are
+    :class:`PipelineEngine`'s.
+    """
+
+    engine_name = "tahoe"
+
+    # ------------------------------------------------------------------
+    # Inference (Algorithm 1, lines 8-16)
+    # ------------------------------------------------------------------
+    def select_strategy_name(self, n_batch: int) -> str:
+        """The strategy the performance models pick for this batch size."""
+        ranked = rank_strategies(self.layout, n_batch, self.spec, self.hardware)
+        if self.config.strategy_override is not None:
+            return self.config.strategy_override
+        return ranked[0].name
+
+    def _after_predict(self, X: np.ndarray) -> None:
         if self.config.count_edge_probabilities:
             updated = self.forest.with_trees(
                 [
@@ -301,111 +424,6 @@ class TahoeEngine:
             # Counts feed the *next* conversion; trigger it immediately so
             # subsequent batches see the refreshed probabilities.
             self._convert(updated)
-        return EngineResult(
-            predictions=predictions,
-            total_time=total_time,
-            batches=batches,
-            strategies_used=used,
-            report=self.build_report(
-                n_samples=n, batch_size=batch_size, total_time=total_time
-            )
-            if report
-            else None,
-        )
-
-    def explain(
-        self,
-        X: np.ndarray,
-        *,
-        batch_size: int | None = None,
-        report: bool = False,
-    ):
-        """Exact SHAP attributions for ``X``, batch by batch.
-
-        The explain analogue of :meth:`predict`: each batch ranks the
-        explain strategy family
-        (:func:`~repro.perfmodel.selector.rank_explain_strategies`),
-        runs the cheapest applicable one on the simulator, and records
-        the decision and traffic like any prediction batch.  Returns an
-        :class:`~repro.explain.ExplainResult` whose attributions are in
-        raw-margin space (``base_values + attributions.sum(axis=1)``
-        reconstructs the pre-link margins exactly).
-        """
-        from repro.explain import ExplainResult, squeeze_single_class
-
-        X = check_batch(X)
-        n = X.shape[0]
-        if batch_size is None or batch_size >= n:
-            batch_size = n
-        K = self.forest.n_classes
-        phi = np.zeros((n, self.forest.n_attributes, K), dtype=np.float64)
-        margins = np.zeros((n, K), dtype=np.float64)
-        base = np.zeros(K, dtype=np.float64)
-        batches: list[StrategyResult] = []
-        used: list[str] = []
-        total_time = 0.0
-        with self.recorder.activate(), span(
-            "engine.explain", category="engine", samples=n, batch_size=batch_size
-        ):
-            for index, start in enumerate(range(0, n, batch_size)):
-                rows = np.arange(start, min(start + batch_size, n), dtype=np.int64)
-                ranked = rank_explain_strategies(
-                    self.layout, rows.shape[0], self.spec, self.hardware
-                )
-                result = None
-                for choice in ranked:
-                    if choice.predicted_time == float("inf"):
-                        continue
-                    try:
-                        result = choice.instantiate().run(
-                            self.layout, X, self.spec, sample_rows=rows
-                        )
-                    except StrategyNotApplicable:
-                        continue
-                    decision = self.recorder.record_decision(
-                        index, int(rows.shape[0]), ranked, choice
-                    )
-                    self.recorder.record_batch(index, result, decision)
-                    break
-                if result is None:
-                    raise RuntimeError("no applicable explain strategy for this batch")
-                phi[rows] = result.attributions
-                margins[rows] = result.predictions
-                base = result.base_values
-                batches.append(result)
-                used.append(result.strategy)
-                total_time += result.time
-        phi, base, margins = squeeze_single_class(phi, base, margins)
-        return ExplainResult(
-            attributions=phi,
-            base_values=base,
-            predictions=margins,
-            total_time=total_time,
-            batches=batches,
-            strategies_used=used,
-            report=self.build_report(
-                n_samples=n, batch_size=batch_size, total_time=total_time
-            )
-            if report
-            else None,
-        )
-
-    def build_report(
-        self,
-        n_samples: int = 0,
-        batch_size: int | None = None,
-        total_time: float = 0.0,
-        **meta,
-    ):
-        """Assemble the engine's telemetry into a :class:`RunReport`."""
-        return self.recorder.build_report(
-            engine="tahoe",
-            gpu=self.spec.name,
-            n_samples=n_samples,
-            batch_size=batch_size,
-            total_time=total_time,
-            **meta,
-        )
 
     def _probe_coalescing(self, X: np.ndarray, rows: np.ndarray) -> None:
         """Measure the layout's forest-read coalescing rate (COA_rate).
@@ -427,46 +445,63 @@ class TahoeEngine:
             0.01, trace.counters.forest_global.load_efficiency
         )
 
-    def _run_batch(
-        self,
-        X: np.ndarray,
-        rows: np.ndarray,
-        collect_level_stats: bool,
-        batch_index: int = 0,
+    def _run_ranked(self, X, rows, index, ranked, recorded, what, force=False, **options):
+        """Run the first ranked candidate that applies, recording the
+        decision (against the ``recorded`` ranking) and the batch.
+
+        Candidates predicted infeasible are skipped unless ``force``.
+        """
+        for choice in ranked:
+            if choice.predicted_time == float("inf") and not force:
+                continue
+            try:
+                result = choice.instantiate().run(
+                    self.layout, X, self.spec, sample_rows=rows, **options
+                )
+            except StrategyNotApplicable:
+                continue
+            decision = self.recorder.record_decision(
+                index, int(rows.shape[0]), recorded, choice
+            )
+            self.recorder.record_batch(index, result, decision)
+            return result
+        raise RuntimeError(f"no applicable {what} strategy for this batch")
+
+    def _predict_batch(
+        self, X: np.ndarray, start: int, stop: int, index: int, collect_level_stats: bool
     ) -> StrategyResult:
-        with span(
-            "engine.run_batch", category="engine", index=batch_index, batch=rows.shape[0]
-        ):
+        rows = np.arange(start, stop, dtype=np.int64)
+        with span("engine.run_batch", category="engine", index=index, batch=rows.shape[0]):
             if "coa_rate" not in self.layout.metadata:
                 with span("coalescing_probe", category="engine"):
                     self._probe_coalescing(X, rows)
             full_ranking = rank_strategies(
                 self.layout, rows.shape[0], self.spec, self.hardware
             )
+            override = self.config.strategy_override
             ranked = full_ranking
-            if self.config.strategy_override is not None:
-                ranked = [c for c in ranked if c.name == self.config.strategy_override]
+            if override is not None:
+                ranked = [c for c in ranked if c.name == override]
                 if not ranked:
-                    raise ValueError(
-                        f"unknown strategy override {self.config.strategy_override!r}"
-                    )
-            for choice in ranked:
-                if choice.predicted_time == float("inf") and self.config.strategy_override is None:
-                    continue
-                try:
-                    strategy = choice.instantiate()
-                    result = strategy.run(
-                        self.layout,
-                        X,
-                        self.spec,
-                        sample_rows=rows,
-                        collect_level_stats=collect_level_stats,
-                    )
-                except StrategyNotApplicable:
-                    continue
-                decision = self.recorder.record_decision(
-                    batch_index, int(rows.shape[0]), full_ranking, choice
-                )
-                self.recorder.record_batch(batch_index, result, decision)
-                return result
-            raise RuntimeError("no applicable inference strategy for this batch")
+                    raise ValueError(f"unknown strategy override {override!r}")
+            return self._run_ranked(
+                X,
+                rows,
+                index,
+                ranked,
+                full_ranking,
+                "inference",
+                force=override is not None,
+                collect_level_stats=collect_level_stats,
+            )
+
+    def _explain_batch(
+        self, X: np.ndarray, start: int, stop: int, index: int
+    ) -> StrategyResult:
+        # Each batch ranks the explain strategy family and runs the
+        # cheapest applicable one on the simulator.
+        rows = np.arange(start, stop, dtype=np.int64)
+        ranked = rank_explain_strategies(
+            self.layout, rows.shape[0], self.spec, self.hardware
+        )
+        return self._run_ranked(X, rows, index, ranked, ranked, "explain")

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.base import ConversionStats, EngineResult, check_batch
+from repro.core.base import (
+    ConversionStats,
+    EngineBase,
+    EngineResult,
+    check_batch,
+    prediction_buffer,
+)
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.core.engine import TahoeEngine
@@ -58,7 +64,7 @@ class MultiGPUResult(EngineResult):
         return len(self.per_gpu)
 
 
-class MultiGPUTahoeEngine:
+class MultiGPUTahoeEngine(EngineBase):
     """Data-parallel Tahoe across ``n_gpus`` identical GPUs.
 
     Every GPU holds the full converted forest (the paper replicates the
@@ -68,6 +74,8 @@ class MultiGPUTahoeEngine:
 
     Everything after ``(forest, spec)`` is keyword-only.
     """
+
+    engine_name = "tahoe-multigpu"
 
     def __init__(
         self,
@@ -123,11 +131,8 @@ class MultiGPUTahoeEngine:
         X = check_batch(X)
         n = X.shape[0]
         shard = -(-n // self.n_gpus)
-        predictions = np.zeros(n, dtype=np.float64)
+        predictions = prediction_buffer(n, self.engines[0].forest.n_classes)
         per_gpu: list[EngineResult] = []
-        batches = []
-        used: list[str] = []
-        slowest = 0.0
         for g, engine in enumerate(self.engines):
             lo, hi = g * shard, min((g + 1) * shard, n)
             if lo >= hi:
@@ -135,19 +140,15 @@ class MultiGPUTahoeEngine:
             result = engine.predict(X[lo:hi], batch_size=batch_size)
             predictions[lo:hi] = result.predictions
             per_gpu.append(result)
-            slowest = max(slowest, result.total_time)
-        index = 0
-        for result in per_gpu:
-            for batch in result.batches:
-                self.recorder.record_batch(index, batch)
-                batches.append(batch)
-                index += 1
-            used.extend(result.strategies_used)
+        slowest = max(result.total_time for result in per_gpu)
+        batches = [batch for result in per_gpu for batch in result.batches]
+        for index, batch in enumerate(batches):
+            self.recorder.record_batch(index, batch)
         return MultiGPUResult(
             predictions=predictions,
             total_time=slowest,
             batches=batches,
-            strategies_used=used,
+            strategies_used=[s for result in per_gpu for s in result.strategies_used],
             per_gpu=per_gpu,
             report=self.build_report(
                 n_samples=n,
@@ -171,20 +172,3 @@ class MultiGPUTahoeEngine:
         self.conversion_stats = stats
         self.recorder.record_conversion(stats)
         return stats
-
-    def build_report(
-        self,
-        n_samples: int = 0,
-        batch_size: int | None = None,
-        total_time: float = 0.0,
-        **meta,
-    ):
-        """Assemble the pool's telemetry into a :class:`RunReport`."""
-        return self.recorder.build_report(
-            engine="tahoe-multigpu",
-            gpu=self.spec.name,
-            n_samples=n_samples,
-            batch_size=batch_size,
-            total_time=total_time,
-            **meta,
-        )

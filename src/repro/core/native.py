@@ -47,14 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.base import (
-    TIME_DOMAIN_WALL,
-    ConversionStats,
-    EngineResult,
-    check_batch,
-)
+from repro.core.base import TIME_DOMAIN_WALL
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
+from repro.core.engine import PipelineEngine
 from repro.formats.layout import ForestLayout
 from repro.gpusim.counters import TrafficCounters
 from repro.gpusim.specs import GPUSpec
@@ -68,7 +64,7 @@ from repro.perfmodel.native import (
     rank_hardware_targets,
 )
 from repro.perfmodel.notation import HardwareParams
-from repro.strategies import StrategyResult
+from repro.strategies import ExplainStrategyResult, StrategyResult
 from repro.strategies.base import finalize_predictions
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF
@@ -94,6 +90,21 @@ except ImportError:  # the container default: clean numpy fallback
 #: this size) so huge batches stay cache-friendly instead of allocating
 #: gigabyte cursor matrices.
 _TARGET_LANES = 1 << 20
+
+
+def _resolve_kernel(kernel: str | None) -> str:
+    if kernel is None:
+        return "numba" if HAVE_NUMBA else "numpy"
+    if kernel not in ("numpy", "numba", "scalar"):
+        raise ValueError(
+            f"unknown native kernel {kernel!r} (need numpy, numba, or scalar)"
+        )
+    if kernel == "numba" and not HAVE_NUMBA:
+        raise ValueError(
+            "kernel='numba' requested but numba is not installed; "
+            "install numba or use kernel='numpy'"
+        )
+    return kernel
 
 
 def available_kernels() -> tuple[str, ...]:
@@ -492,30 +503,24 @@ class NativeBreakdown:
         }
 
 
-class NativeEngine:
+class NativeEngine(PipelineEngine):
     """Vectorised wall-clock execution of converted forest layouts.
 
-    Satisfies the shared :class:`~repro.core.base.Engine` surface.
-    Construction from a forest runs the *same* conversion stages as
-    :class:`TahoeEngine` (via :func:`~repro.core.engine.convert_forest`)
-    under the *same* layout-cache key, so the two backends trade
-    finished layouts freely; stage 5 ("copy to device") builds the flat
-    native arrays instead of the simulated GPU image.
+    A :class:`~repro.core.engine.PipelineEngine`: construction from a
+    forest runs the *same* conversion stages as :class:`TahoeEngine`
+    (via :func:`~repro.core.engine.convert_forest`) under the *same*
+    layout-cache key, so the two backends trade finished layouts freely;
+    stage 5 ("copy to device") builds the flat native arrays instead of
+    the simulated GPU image, and every batch runs the host kernel.
 
-    Args:
-        forest: trained forest to convert and flatten.
-        spec: GPU model used for the simulated-GPU half of the hardware
-            ranking (the §6 candidate the native target is compared to)
-            and for the layout-cache key.
-        config: conversion knobs shared with the Tahoe pipeline.
-        hardware: pre-measured §6 hardware parameters (for the ranking).
-        recorder: telemetry sink (built from ``config.obs`` otherwise).
-        layout_cache: converted-layout cache shared across engines and
-            backends.
-        kernel: ``"numba"`` / ``"numpy"`` / ``"scalar"``; auto-detected
-            (numba when importable, numpy otherwise) when omitted.
+    Constructor arguments are :class:`~repro.core.engine.PipelineEngine`'s
+    plus ``kernel`` — ``"numba"`` / ``"numpy"`` / ``"scalar"``,
+    auto-detected (numba when importable, numpy otherwise) when omitted.
+    ``spec`` and ``hardware`` feed the simulated-GPU half of the hardware
+    ranking (the §6 candidate the native target is compared to).
     """
 
+    engine_name = "native"
     time_domain = TIME_DOMAIN_WALL
 
     def __init__(
@@ -529,47 +534,15 @@ class NativeEngine:
         layout_cache: LayoutCache | None = None,
         kernel: str | None = None,
     ) -> None:
-        self._init_common(spec, config, hardware, recorder, layout_cache, kernel)
-        self._convert(forest)
-
-    def _init_common(
-        self,
-        spec: GPUSpec,
-        config: TahoeConfig | None,
-        hardware: HardwareParams | None,
-        recorder: RunRecorder | None,
-        layout_cache: LayoutCache | None,
-        kernel: str | None = None,
-    ) -> None:
-        self.spec = spec
-        self.config = config if config is not None else TahoeConfig()
-        obs = self.config.obs
-        self.recorder = recorder if recorder is not None else RunRecorder(
-            tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
+        self.kernel = _resolve_kernel(kernel)
+        super().__init__(
+            forest,
+            spec,
+            config=config,
+            hardware=hardware,
+            recorder=recorder,
+            layout_cache=layout_cache,
         )
-        self.hardware = hardware or measure_hardware_parameters(spec)
-        self.layout_cache = layout_cache
-        self.layout: ForestLayout | None = None
-        self.flat: NativeForest | None = None
-        self.conversion_stats = ConversionStats()
-        self.kernel = self._resolve_kernel(kernel)
-        self._cost_model: NativeCostModel | None = None
-        self._ranked_cache: dict[int, list] = {}
-
-    @staticmethod
-    def _resolve_kernel(kernel: str | None) -> str:
-        if kernel is None:
-            return "numba" if HAVE_NUMBA else "numpy"
-        if kernel not in ("numpy", "numba", "scalar"):
-            raise ValueError(
-                f"unknown native kernel {kernel!r} (need numpy, numba, or scalar)"
-            )
-        if kernel == "numba" and not HAVE_NUMBA:
-            raise ValueError(
-                "kernel='numba' requested but numba is not installed; "
-                "install numba or use kernel='numpy'"
-            )
-        return kernel
 
     @classmethod
     def from_layout(
@@ -584,74 +557,38 @@ class NativeEngine:
         layout_cache: LayoutCache | None = None,
         kernel: str | None = None,
     ) -> "NativeEngine":
-        """Adopt an already-converted layout (tahoe *or* fil format).
-
-        The packed-artifact fast path: no conversion work, only the
-        flattening (and even that is shared through the layout's own
-        cache slot when replicas adopt the same object).  With
-        ``cache_key`` and ``layout_cache`` the layout is published so
-        engines of *any* backend built from the source forest hit it.
-        """
-        engine = cls.__new__(cls)
-        engine._init_common(spec, config, hardware, recorder, layout_cache, kernel)
-        engine._adopt_layout(layout, ConversionStats(source="artifact"), cache_key)
+        """Adopt an already-converted layout (tahoe *or* fil format)."""
+        kernel = _resolve_kernel(kernel)
+        engine = super().from_layout(
+            layout,
+            spec,
+            cache_key=cache_key,
+            config=config,
+            hardware=hardware,
+            recorder=recorder,
+            layout_cache=layout_cache,
+        )
+        engine.kernel = kernel
         return engine
 
-    def _adopt_layout(
-        self,
-        layout: ForestLayout,
-        stats: ConversionStats,
-        cache_key: tuple | None = None,
-    ) -> None:
-        """Install a finished layout: flatten it and record the stats."""
-        self.layout = layout
-        self.forest = layout.forest
-        stats.node_encoding = layout.record.encoding_label
-        self.flat = flatten_native(layout)
-        self._cost_model = None  # re-calibrate for the new forest shape
-        self._ranked_cache = {}
-        self.conversion_stats = stats
-        self.recorder.record_conversion(stats)
-        if self.layout_cache is not None and cache_key is not None:
-            self.layout_cache.put(cache_key, layout)
+    # Hooks of the skeleton.  The hardware default is looked up in this
+    # module, at call time, so it can be traced apart from Tahoe's.
+    def _default_hardware(self, spec: GPUSpec) -> HardwareParams:
+        return measure_hardware_parameters(spec)
 
-    def _convert(self, forest: Forest) -> None:
-        from repro.core.engine import convert_forest
+    def _ship(self, layout: ForestLayout) -> None:
+        # Stage 5 for this backend: "copy to device" is building the
+        # flat native arrays the kernels traverse.
+        with span("copy_to_native", category="conversion"):
+            flatten_native(layout)
 
-        cache_key = None
-        if self.layout_cache is not None:
-            t0 = time.perf_counter()
-            cache_key = LayoutCache.key(forest, self.spec, self.config.conversion_key())
-            cached = self.layout_cache.get(cache_key)
-            lookup = time.perf_counter() - t0
-            if cached is not None:
-                with self.recorder.activate(), span(
-                    "engine.convert", category="conversion", cache_hit=True
-                ):
-                    stats = ConversionStats(
-                        t_cache_lookup=lookup, cache_hit=True, source="cache"
-                    )
-                self._adopt_layout(cached, stats)
-                return
-        with self.recorder.activate(), span(
-            "engine.convert",
-            category="conversion",
-            trees=forest.n_trees,
-            nodes=forest.n_nodes,
-        ):
-            layout, stats = convert_forest(forest, self.config)
-            t4 = time.perf_counter()
-            # Stage 5 for this backend: "copy to device" is building the
-            # flat native arrays the kernels traverse.
-            with span("copy_to_native", category="conversion"):
-                flatten_native(layout)
-            stats.t_copy_to_gpu = time.perf_counter() - t4
-        self._adopt_layout(layout, stats, cache_key)
+    def _install(self) -> None:
+        self.flat = flatten_native(self.layout)
+        self._cost_model: NativeCostModel | None = None  # re-calibrate
+        self._ranked_cache: dict[int, list] = {}
 
-    def update_forest(self, forest: Forest) -> ConversionStats:
-        """Incremental learning hook: reconvert and reflatten."""
-        self._convert(forest)
-        return self.conversion_stats
+    def _report_meta(self) -> dict:
+        return {"time_domain": TIME_DOMAIN_WALL, "kernel": self.kernel, "numba": HAVE_NUMBA}
 
     # ------------------------------------------------------------------
     # Execution
@@ -665,42 +602,10 @@ class NativeEngine:
         flat = self.flat
         multi = flat.n_groups > 1
         if self.kernel == "numpy":
-            if multi:
-                out = np.empty((X.shape[0], flat.n_groups), dtype=np.float64)
-            else:
-                out = np.empty(X.shape[0], dtype=np.float64)
-            return _traverse_numpy(X, flat, out)
-        if multi or flat.has_cat:
-            # Scalar/numba path with classes or categorical nodes → the
-            # extended kernel (2-D accumulator, bitset membership).
-            group = flat.tree_group
-            if group is None:
-                group = np.zeros(flat.n_trees, dtype=np.int64)
-            out = np.zeros((X.shape[0], flat.n_groups), dtype=np.float64)
-            fn = (
-                _traverse_scalar_ext_jit
-                if self.kernel == "numba"
-                else _traverse_scalar_ext
-            )
-            res = fn(
-                X,
-                flat.feature,
-                flat.threshold,
-                flat.child_true,
-                flat.child_false,
-                flat.default_true,
-                flat.value,
-                flat.roots,
-                group,
-                flat.cat_offset,
-                flat.cat_count,
-                flat.cat_bits,
-                out,
-            )
-            return res if multi else res[:, 0]
-        out = np.empty(X.shape[0], dtype=np.float64)
-        fn = _traverse_scalar_jit if self.kernel == "numba" else _traverse_scalar
-        return fn(
+            shape = (X.shape[0], flat.n_groups) if multi else X.shape[0]
+            return _traverse_numpy(X, flat, np.empty(shape, dtype=np.float64))
+        numba = self.kernel == "numba"
+        walk = (
             X,
             flat.feature,
             flat.threshold,
@@ -709,8 +614,19 @@ class NativeEngine:
             flat.default_true,
             flat.value,
             flat.roots,
-            out,
         )
+        if multi or flat.has_cat:
+            # Scalar/numba path with classes or categorical nodes → the
+            # extended kernel (2-D accumulator, bitset membership).
+            group = flat.tree_group
+            if group is None:
+                group = np.zeros(flat.n_trees, dtype=np.int64)
+            out = np.zeros((X.shape[0], flat.n_groups), dtype=np.float64)
+            fn = _traverse_scalar_ext_jit if numba else _traverse_scalar_ext
+            res = fn(*walk, group, flat.cat_offset, flat.cat_count, flat.cat_bits, out)
+            return res if multi else res[:, 0]
+        fn = _traverse_scalar_jit if numba else _traverse_scalar
+        return fn(*walk, np.empty(X.shape[0], dtype=np.float64))
 
     def _run_flat(self, X: np.ndarray) -> tuple[np.ndarray, NativeBreakdown]:
         """Traverse + reduce one batch, wall-clock timed per phase."""
@@ -787,142 +703,45 @@ class NativeEngine:
         targets.sort(key=lambda t: t.predicted_time)
         return targets
 
-    def predict(
-        self,
-        X: np.ndarray,
-        *,
-        batch_size: int | None = None,
-        collect_level_stats: bool = False,
-        report: bool = False,
-    ) -> EngineResult:
-        """Run native inference over ``X`` batch by batch.
+    def _predict_batch(
+        self, X: np.ndarray, start: int, stop: int, index: int, collect_level_stats: bool
+    ) -> StrategyResult:
+        # collect_level_stats is ignored: there is no simulated memory
+        # system to collect from.  The hardware-target ranking (native
+        # CPU vs best simulated-GPU strategy) happens outside the timed
+        # region, like strategy selection does for the simulated engines.
+        nb = stop - start
+        ranked = self._ranked_targets(nb)
+        chosen = next(t for t in ranked if t.name == "native_cpu")
+        preds, breakdown = self._run_flat(X[start:stop])
+        result = _wall_result(StrategyResult, "native", preds, breakdown, nb)
+        decision = self.recorder.record_decision(index, nb, ranked, chosen)
+        self.recorder.record_batch(index, result, decision)
+        return result
 
-        ``total_time`` (and therefore ``throughput``) is **wall-clock**
-        seconds — ``time_domain="wall"`` on the result keeps it from
-        ever being compared against simulated numbers.
-        ``collect_level_stats`` is accepted for engine-surface
-        uniformity and ignored (there is no simulated memory system to
-        collect from).
-        """
-        del collect_level_stats
-        X = check_batch(X)
-        n = X.shape[0]
-        if batch_size is None or batch_size >= n:
-            batch_size = n
-        if self.forest.n_classes > 1:
-            predictions = np.zeros((n, self.forest.n_classes), dtype=np.float64)
-        else:
-            predictions = np.zeros(n, dtype=np.float64)
-        batches: list[StrategyResult] = []
-        used: list[str] = []
-        total_time = 0.0
-        with self.recorder.activate(), span(
-            "engine.predict", category="engine", samples=n, batch_size=batch_size
-        ):
-            for index, start in enumerate(range(0, n, batch_size)):
-                stop = min(start + batch_size, n)
-                nb = stop - start
-                # Hardware-target ranking (native CPU vs best simulated-
-                # GPU strategy) happens outside the timed region, like
-                # strategy selection does for the simulated engines.
-                ranked = self._ranked_targets(nb)
-                chosen = next(t for t in ranked if t.name == "native_cpu")
-                preds, breakdown = self._run_flat(X[start:stop])
-                predictions[start:stop] = preds
-                result = StrategyResult(
-                    strategy="native",
-                    predictions=preds,
-                    breakdown=breakdown,
-                    counters=TrafficCounters(),
-                    per_thread_steps=np.zeros(0, dtype=np.int64),
-                    n_blocks=0,
-                    threads_per_block=0,
-                    batch_size=nb,
-                )
-                decision = self.recorder.record_decision(index, nb, ranked, chosen)
-                self.recorder.record_batch(index, result, decision)
-                batches.append(result)
-                used.append("native")
-                total_time += breakdown.total
-        return EngineResult(
-            predictions=predictions,
-            total_time=total_time,
-            batches=batches,
-            strategies_used=used,
-            report=self.build_report(
-                n_samples=n, batch_size=batch_size, total_time=total_time
-            )
-            if report
-            else None,
-            time_domain=TIME_DOMAIN_WALL,
-        )
-
-    def explain(
-        self,
-        X: np.ndarray,
-        *,
-        batch_size: int | None = None,
-        report: bool = False,
-    ):
-        """Wall-clock SHAP attributions via the vectorised path kernel.
-
-        The same :func:`~repro.explain.kernel.compute_shap` the
-        simulated strategies run, timed for real: ``total_time`` is
-        wall seconds (``time_domain="wall"``), so explain throughput
-        from this backend is comparable to its predict throughput and
-        never to simulated numbers.
-        """
-        from repro.explain import ExplainResult, squeeze_single_class
+    def _explain_batch(
+        self, X: np.ndarray, start: int, stop: int, index: int
+    ) -> ExplainStrategyResult:
+        # The same compute_shap the simulated strategies run, timed for
+        # real.  Looked up at call time so tracing can wrap it.
         from repro.explain.kernel import compute_shap
         from repro.explain.paths import path_set_for_layout
 
-        X = check_batch(X)
-        n = X.shape[0]
-        if batch_size is None or batch_size >= n:
-            batch_size = n
         ps = path_set_for_layout(self.layout)
-        phi = np.zeros((n, ps.n_features, ps.n_classes), dtype=np.float64)
-        margins = np.zeros((n, ps.n_classes), dtype=np.float64)
-        batches: list[StrategyResult] = []
-        total_time = 0.0
-        with self.recorder.activate(), span(
-            "engine.explain", category="engine", samples=n, batch_size=batch_size
-        ):
-            for index, start in enumerate(range(0, n, batch_size)):
-                stop = min(start + batch_size, n)
-                t0 = time.perf_counter()
-                phi_b, base, margins_b = compute_shap(ps, X[start:stop])
-                breakdown = NativeBreakdown(t_traversal=time.perf_counter() - t0)
-                phi[start:stop] = phi_b
-                margins[start:stop] = margins_b
-                result = StrategyResult(
-                    strategy="native_explain",
-                    predictions=margins_b,
-                    breakdown=breakdown,
-                    counters=TrafficCounters(),
-                    per_thread_steps=np.zeros(0, dtype=np.int64),
-                    n_blocks=0,
-                    threads_per_block=0,
-                    batch_size=stop - start,
-                )
-                self.recorder.record_batch(index, result)
-                batches.append(result)
-                total_time += breakdown.total
-        phi, base, margins = squeeze_single_class(phi, ps.base_values, margins)
-        return ExplainResult(
+        t0 = time.perf_counter()
+        phi, base, margins = compute_shap(ps, X[start:stop])
+        breakdown = NativeBreakdown(t_traversal=time.perf_counter() - t0)
+        result = _wall_result(
+            ExplainStrategyResult,
+            "native_explain",
+            margins,
+            breakdown,
+            stop - start,
             attributions=phi,
             base_values=base,
-            predictions=margins,
-            total_time=total_time,
-            batches=batches,
-            strategies_used=["native_explain"] * len(batches),
-            report=self.build_report(
-                n_samples=n, batch_size=batch_size, total_time=total_time
-            )
-            if report
-            else None,
-            time_domain=TIME_DOMAIN_WALL,
         )
+        self.recorder.record_batch(index, result)
+        return result
 
     def measure_flush_curve(
         self, batch_sizes: list[int], *, repeats: int = 2, seed: int = 11
@@ -964,22 +783,17 @@ class NativeEngine:
             self.recorder = real_recorder
         return curve
 
-    def build_report(
-        self,
-        n_samples: int = 0,
-        batch_size: int | None = None,
-        total_time: float = 0.0,
-        **meta,
-    ):
-        """Assemble the engine's telemetry into a :class:`RunReport`."""
-        meta.setdefault("time_domain", TIME_DOMAIN_WALL)
-        meta.setdefault("kernel", self.kernel)
-        meta.setdefault("numba", HAVE_NUMBA)
-        return self.recorder.build_report(
-            engine="native",
-            gpu=self.spec.name,
-            n_samples=n_samples,
-            batch_size=batch_size,
-            total_time=total_time,
-            **meta,
-        )
+
+def _wall_result(cls, strategy: str, predictions, breakdown, n: int, **extra):
+    """A wall-clock batch result: no simulated traffic or launch shape."""
+    return cls(
+        strategy=strategy,
+        predictions=predictions,
+        breakdown=breakdown,
+        counters=TrafficCounters(),
+        per_thread_steps=np.zeros(0, dtype=np.int64),
+        n_blocks=0,
+        threads_per_block=0,
+        batch_size=n,
+        **extra,
+    )

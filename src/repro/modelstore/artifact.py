@@ -286,27 +286,18 @@ def pack_forest(
     conversion pipeline once (exactly as a cold engine would), then
     persist its output so every later engine start skips it.
     """
-    from repro.core.config import TahoeConfig
-    from repro.core.engine import TahoeEngine
-    from repro.core.fil import FILEngine, fil_conversion_key
+    from repro.core import engine_class
 
-    fingerprint = forest.fingerprint()
-    if engine == "tahoe":
-        config = config if config is not None else TahoeConfig()
-        built = TahoeEngine(forest, spec, config=config)
-        conversion_key = config.conversion_key()
-    elif engine == "fil":
-        built = FILEngine(forest, spec, config=config)
-        conversion_key = fil_conversion_key(config)
-    else:
+    if engine not in ("tahoe", "fil"):
         raise ArtifactError(f"unknown engine kind {engine!r} (need tahoe or fil)")
+    built = engine_class(None, engine)(forest, spec, config=config)
     return pack_layout(
         built.layout,
         path,
         engine=engine,
         spec_name=spec.name,
-        conversion_key=conversion_key,
-        source_fingerprint=fingerprint,
+        conversion_key=built.conversion_key(),
+        source_fingerprint=forest.fingerprint(),
     )
 
 
@@ -506,9 +497,7 @@ class PackedModel:
         published under :attr:`cache_key`, so engines later built from
         the source forest hit the cache instead of reconverting.
         """
-        from repro.core.engine import TahoeEngine
-        from repro.core.fil import FILEngine
-        from repro.core.native import NativeEngine
+        from repro.core import engine_class
 
         spec = spec if spec is not None else self.resolve_spec()
         if spec.name != self.spec_name:
@@ -520,11 +509,7 @@ class PackedModel:
             raise ArtifactError(
                 f"unknown backend {backend!r} (expected 'simulated' or 'native')"
             )
-        if backend == "native":
-            cls = NativeEngine
-        else:
-            cls = TahoeEngine if self.engine_kind == "tahoe" else FILEngine
-        return cls.from_layout(
+        return engine_class(backend, self.engine_kind).from_layout(
             self.layout,
             spec,
             cache_key=self.cache_key,

@@ -23,12 +23,11 @@ and the CLI can swap ``--traffic poisson|burst|user-population`` without
 caring which generator is behind the name (:data:`~repro.serving.workload.WORKLOADS`
 is the registry).
 
-The old grab-bag ``ServerConfig`` is split along the same seam the
-router needed: :class:`SchedulerConfig` owns the *mechanism* (flush,
-queue, deadline knobs — how a micro-batch forms), :class:`PolicyConfig`
-owns the *policy* (SLO objectives, fleet admission, autoscaling — what
-service the tier promises).  ``ServerConfig`` remains for one release as
-a deprecated alias of :class:`SchedulerConfig`.
+Configuration splits along the same seam the router needed:
+:class:`SchedulerConfig` owns the *mechanism* (flush, queue, deadline
+knobs — how a micro-batch forms), :class:`PolicyConfig` owns the
+*policy* (SLO objectives, fleet admission, autoscaling — what service
+the tier promises).
 """
 
 from __future__ import annotations

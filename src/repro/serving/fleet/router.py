@@ -72,8 +72,8 @@ from repro.serving.request import (
     InferenceResponse,
     ServingError,
 )
-from repro.serving.server import MAX_REPORT_TRACES, ServingResult, TahoeServer
-from repro.serving.slo import SLOConfig, SLOMonitor
+from repro.serving.server import ServingResult, TahoeServer, quantile_summary, trace_meta
+from repro.serving.slo import resolve_slo
 from repro.serving.tracing import RequestTrace, StageSpan
 from repro.strategies.base import finalize_predictions
 from repro.trees.forest import Forest
@@ -173,17 +173,7 @@ class TahoeRouter:
         self.layout_cache = layout_cache if layout_cache is not None else LayoutCache()
         self.recorder = RunRecorder()
         self.admission: AdmissionConfig | None = self.policy.admission
-        slo = self.policy.slo
-        if isinstance(slo, SLOMonitor):
-            self.slo = slo
-            if self.slo.metrics is None:
-                self.slo.metrics = self.recorder.metrics
-        elif isinstance(slo, SLOConfig):
-            self.slo = SLOMonitor(slo, metrics=self.recorder.metrics)
-        elif slo is None:
-            self.slo = None
-        else:
-            raise TypeError("policy.slo must be an SLOConfig, an SLOMonitor, or None")
+        self.slo = resolve_slo(self.policy.slo, self.recorder.metrics)
         if self.policy.autoscale is not None and mode != "replicate":
             raise ValueError("autoscaling requires mode='replicate'")
         self.autoscaler = (
@@ -672,13 +662,7 @@ class TahoeRouter:
             "achieved_qps": (len(completed) / makespan)
             if makespan > 0
             else float("inf"),
-            "latency_s": {
-                "p50": latency.quantile(0.5),
-                "p95": latency.quantile(0.95),
-                "p99": latency.quantile(0.99),
-                "mean": latency.mean,
-                "max": latency.max,
-            },
+            "latency_s": quantile_summary(latency),
             "slo": self.slo.summary() if self.slo is not None else None,
             "autoscale": (
                 self.autoscaler.summary() if self.autoscaler is not None else None
@@ -709,15 +693,7 @@ class TahoeRouter:
         registries folded replica-wise."""
         meta = dict(meta)
         if responses is not None and self.scheduler.request_tracing:
-            traces = [
-                r.trace.to_dict()
-                for r in responses[:MAX_REPORT_TRACES]
-                if r.trace is not None
-            ]
-            meta["request_traces"] = traces
-            dropped = len(responses) - MAX_REPORT_TRACES
-            if dropped > 0:
-                meta["request_traces_dropped"] = dropped
+            meta.update(trace_meta(responses))
         if self.slo is not None:
             meta["slo"] = self.slo.summary()
         if self.autoscaler is not None:

@@ -44,7 +44,6 @@ the §6 predicted one — real throughput, same scheduler.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter as TallyCounter
 from collections import deque
 from dataclasses import dataclass
@@ -52,12 +51,9 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.base import TIME_DOMAIN_SIMULATED
+from repro.core import engine_class
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
-from repro.core.engine import TahoeEngine
-from repro.core.fil import FILEngine
-from repro.core.native import NativeEngine
 from repro.gpusim.specs import GPUSpec
 from repro.modelstore.registry import ModelRegistry, ModelVersion
 from repro.obs.drift import CalibrationTracker
@@ -74,36 +70,40 @@ from repro.serving.request import (
     InferenceResponse,
     ServingError,
 )
-from repro.serving.slo import SLOConfig, SLOMonitor
+from repro.serving.slo import resolve_slo
 from repro.serving.tracing import RequestTrace, StageSpan
 from repro.trees.forest import Forest
 
-__all__ = ["SchedulerConfig", "ServerConfig", "ServingResult", "TahoeServer"]
+__all__ = ["SchedulerConfig", "ServingResult", "TahoeServer"]
 
 #: Cap on per-request traces carried into a RunReport (the responses
 #: themselves always carry their own trace regardless).
 MAX_REPORT_TRACES = 2000
 
 
-class ServerConfig(SchedulerConfig):
-    """Deprecated alias of :class:`~repro.serving.api.SchedulerConfig`.
+def quantile_summary(hist) -> dict:
+    """The latency quantiles a serving summary reports for ``hist``."""
+    return {
+        "p50": hist.quantile(0.5),
+        "p95": hist.quantile(0.95),
+        "p99": hist.quantile(0.99),
+        "mean": hist.mean,
+        "max": hist.max,
+    }
 
-    The grab-bag ``ServerConfig`` was split into
-    :class:`~repro.serving.api.SchedulerConfig` (flush/queue/deadline
-    mechanism) and :class:`~repro.serving.api.PolicyConfig`
-    (SLO/admission/autoscale policy).  This shim keeps one release of
-    compatibility — same fields, same semantics — and will be removed.
-    """
 
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "ServerConfig is deprecated; use SchedulerConfig for scheduler "
-            "knobs and PolicyConfig for SLO/admission/autoscale policy "
-            "(from repro.serving)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        super().__post_init__()
+def trace_meta(responses: list[InferenceResponse]) -> dict:
+    """Report metadata carrying the first :data:`MAX_REPORT_TRACES`
+    request traces (and how many were dropped past the cap)."""
+    meta = {
+        "request_traces": [
+            r.trace.to_dict() for r in responses[:MAX_REPORT_TRACES] if r.trace is not None
+        ]
+    }
+    dropped = len(responses) - MAX_REPORT_TRACES
+    if dropped > 0:
+        meta["request_traces_dropped"] = dropped
+    return meta
 
 
 @dataclass
@@ -139,10 +139,9 @@ class TahoeServer:
         scheduler: micro-batch mechanism knobs
             (:class:`~repro.serving.api.SchedulerConfig`).
         policy: service policy (:class:`~repro.serving.api.PolicyConfig`);
-            its ``slo`` member replaces the deprecated ``slo=`` kwarg
-            (admission/autoscale members are consumed by the fleet
-            router, not here).
-        server_config: deprecated spelling of ``scheduler``.
+            its ``slo`` member is evaluated here (see
+            :func:`~repro.serving.slo.resolve_slo`); the admission and
+            autoscale members are consumed by the fleet router, not here.
         config: engine configuration shared by every replica.
         hardware: pre-measured hardware parameters (measured once here
             otherwise and shared across the pool).
@@ -158,9 +157,6 @@ class TahoeServer:
             :class:`~repro.modelstore.artifact.PackedModel` instead of a
             ``forest`` — the pool adopts the packed layout with zero
             conversion work.  Exactly one of ``forest``/``packed``.
-        slo: service-level objectives — an :class:`SLOConfig` (a private
-            :class:`SLOMonitor` is built) or a ready monitor; ``None``
-            disables SLO evaluation.
     """
 
     def __init__(
@@ -170,7 +166,6 @@ class TahoeServer:
         *,
         scheduler: SchedulerConfig | None = None,
         policy: PolicyConfig | None = None,
-        server_config: SchedulerConfig | None = None,
         config: TahoeConfig | None = None,
         hardware: HardwareParams | None = None,
         recorder: RunRecorder | None = None,
@@ -178,21 +173,13 @@ class TahoeServer:
         registry: ModelRegistry | None = None,
         model_name: str = "default",
         packed=None,
-        slo: SLOConfig | SLOMonitor | None = None,
     ) -> None:
         if spec is None:
             raise TypeError("TahoeServer requires a GPU spec")
         if (forest is None) == (packed is None):
             raise TypeError("TahoeServer takes exactly one of forest= or packed=")
-        if scheduler is not None and server_config is not None:
-            raise TypeError("pass scheduler= or the deprecated server_config=, not both")
-        cfg = scheduler if scheduler is not None else server_config
-        self.config = cfg if cfg is not None else SchedulerConfig()
+        self.config = scheduler if scheduler is not None else SchedulerConfig()
         self.policy = policy if policy is not None else PolicyConfig()
-        if policy is not None and policy.slo is not None:
-            if slo is not None:
-                raise TypeError("pass slo via policy= or the slo= kwarg, not both")
-            slo = policy.slo
         self.spec = spec
         self.engine_config = config if config is not None else TahoeConfig()
         hardware = hardware or measure_hardware_parameters(spec)
@@ -225,16 +212,7 @@ class TahoeServer:
         self.recorder.metrics.gauge(
             "serving.target_batch", help="model-chosen micro-batch flush point"
         ).set(self.target_batch)
-        if isinstance(slo, SLOMonitor):
-            self.slo = slo
-            if self.slo.metrics is None:
-                self.slo.metrics = self.recorder.metrics
-        elif isinstance(slo, SLOConfig):
-            self.slo = SLOMonitor(slo, metrics=self.recorder.metrics)
-        elif slo is None:
-            self.slo = None
-        else:
-            raise TypeError("slo must be an SLOConfig, an SLOMonitor, or None")
+        self.slo = resolve_slo(self.policy.slo, self.recorder.metrics)
         # Scheduler state (persists across submit()/run() calls).
         self._queue: deque[InferenceRequest] = deque()
         self._queued_samples = 0
@@ -262,37 +240,24 @@ class TahoeServer:
     def _build_engines(self, version: ModelVersion) -> list:
         """A full replica pool for ``version`` — the expensive part of a
         deployment, run off the hot path by :meth:`stage`."""
-        if self.config.backend == "native":
-            # Native executes either packed format; the conversion (when
-            # starting from a forest) still honours the model's kind via
-            # the shared cache key, so simulator engines can reuse it.
-            cls = NativeEngine
-        else:
-            cls = FILEngine if version.engine_kind == "fil" else TahoeEngine
-        if version.layout is not None:
-            # Packed artifact: zero conversion.  The first replica
-            # publishes the layout under its source cache key; the rest
-            # share the same object directly.
-            return [
-                cls.from_layout(
-                    version.layout,
-                    self.spec,
-                    cache_key=version.cache_key if i == 0 else None,
-                    config=self.engine_config,
-                    hardware=self.hardware,
-                    layout_cache=self.layout_cache,
-                )
-                for i in range(self.config.n_engines)
-            ]
+        cls = engine_class(self.config.backend, version.engine_kind)
+        shared = dict(
+            config=self.engine_config, hardware=self.hardware, layout_cache=self.layout_cache
+        )
+        replicas = range(self.config.n_engines)
+        if version.layout is None:
+            return [cls(version.forest, self.spec, **shared) for _ in replicas]
+        # Packed artifact: zero conversion.  The first replica publishes
+        # the layout under its source cache key; the rest share the same
+        # object directly.
         return [
-            cls(
-                version.forest,
+            cls.from_layout(
+                version.layout,
                 self.spec,
-                config=self.engine_config,
-                hardware=self.hardware,
-                layout_cache=self.layout_cache,
+                cache_key=version.cache_key if i == 0 else None,
+                **shared,
             )
-            for _ in range(self.config.n_engines)
+            for i in replicas
         ]
 
     def stage(
@@ -782,9 +747,7 @@ class TahoeServer:
             "target_batch": self.target_batch,
             "n_engines": len(self.engines),
             "backend": self.config.backend,
-            "time_domain": getattr(
-                self.engines[0], "time_domain", TIME_DOMAIN_SIMULATED
-            ),
+            "time_domain": self.engines[0].time_domain,
             "offered_qps": (len(responses) / offered_span)
             if offered_span > 0
             else float("inf"),
@@ -792,20 +755,8 @@ class TahoeServer:
             "achieved_samples_per_s": (n_samples / makespan)
             if makespan > 0
             else float("inf"),
-            "latency_s": {
-                "p50": latency.quantile(0.5),
-                "p95": latency.quantile(0.95),
-                "p99": latency.quantile(0.99),
-                "mean": latency.mean,
-                "max": latency.max,
-            },
-            "queue_wait_s": {
-                "p50": queue_wait.quantile(0.5),
-                "p95": queue_wait.quantile(0.95),
-                "p99": queue_wait.quantile(0.99),
-                "mean": queue_wait.mean,
-                "max": queue_wait.max,
-            },
+            "latency_s": quantile_summary(latency),
+            "queue_wait_s": quantile_summary(queue_wait),
             "slo": self.slo.summary() if self.slo is not None else None,
             "batch_size_histogram": {
                 str(k): int(v) for k, v in sorted(self._batch_sizes.items())
@@ -841,15 +792,7 @@ class TahoeServer:
         """
         meta = dict(meta)
         if responses is not None and self.config.request_tracing:
-            traces = [
-                r.trace.to_dict()
-                for r in responses[:MAX_REPORT_TRACES]
-                if r.trace is not None
-            ]
-            meta["request_traces"] = traces
-            dropped = len(responses) - MAX_REPORT_TRACES
-            if dropped > 0:
-                meta["request_traces_dropped"] = dropped
+            meta.update(trace_meta(responses))
         if self.slo is not None:
             meta["slo"] = self.slo.summary()
         report = self.recorder.build_report(

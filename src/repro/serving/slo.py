@@ -29,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["SLOConfig", "SLOMonitor", "window_quantile"]
+__all__ = ["SLOConfig", "SLOMonitor", "resolve_slo", "window_quantile"]
 
 
 @dataclass(frozen=True)
@@ -220,3 +220,21 @@ class SLOMonitor:
             ),
             "events": list(self.events),
         }
+
+
+def resolve_slo(slo, metrics) -> SLOMonitor | None:
+    """The monitor a server or router evaluates ``policy.slo`` with.
+
+    An :class:`SLOConfig` gets a private :class:`SLOMonitor` on
+    ``metrics``; a ready monitor is used as is (adopting ``metrics`` when
+    it has none); ``None`` disables SLO evaluation.
+    """
+    if isinstance(slo, SLOMonitor):
+        if slo.metrics is None:
+            slo.metrics = metrics
+        return slo
+    if isinstance(slo, SLOConfig):
+        return SLOMonitor(slo, metrics=metrics)
+    if slo is None:
+        return None
+    raise TypeError("policy.slo must be an SLOConfig, an SLOMonitor, or None")

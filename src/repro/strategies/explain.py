@@ -86,23 +86,26 @@ def _charge_output_writes(counters: TrafficCounters, ps: PathSet, n: int, spec: 
     counters.output_global.add(n_bytes, tx * spec.transaction_bytes, tx, tx * spec.warp_size)
 
 
-def _run_kernel(
-    ps: PathSet, X: np.ndarray, sample_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    phi, base, margins = compute_shap(ps, np.asarray(X)[sample_rows])
-    return phi, base, margins
+class _PathImageStrategy:
+    """The explain kernel under one placement of the path image.
 
+    Subclasses name the placement, say whether the image is staged into
+    shared memory (``image_in_smem``) and charge its record reads
+    (:meth:`_charge_paths`); the kernel, the sample and output traffic
+    and the timing are common.
+    """
 
-class ExplainDirectStrategy:
-    """Path image streamed from global memory, sample per thread."""
-
-    name = "explain_direct"
+    name = ""
+    image_in_smem = False
 
     def __init__(self, threads_per_block: int = 256) -> None:
         self._threads_per_block = threads_per_block
 
     def is_applicable(self, layout: ForestLayout, spec: GPUSpec) -> bool:
         return True
+
+    def _charge_paths(self, counters, ps: PathSet, n: int, n_blocks: int, spec: GPUSpec):
+        raise NotImplementedError
 
     def run(
         self,
@@ -113,30 +116,26 @@ class ExplainDirectStrategy:
         collect_level_stats: bool = False,
     ) -> ExplainStrategyResult:
         ps = path_set_for_layout(layout)
+        smem = ps.image_bytes if self.image_in_smem else 0
+        if smem > spec.shared_mem_per_block:
+            raise StrategyNotApplicable(
+                f"path image ({ps.image_bytes} B) exceeds shared memory "
+                f"({spec.shared_mem_per_block} B) on {spec.name}"
+            )
         if sample_rows is None:
             sample_rows = np.arange(np.asarray(X).shape[0], dtype=np.int64)
         n = int(sample_rows.shape[0])
         tpb = self._threads_per_block
         n_blocks = max(1, (n + tpb - 1) // tpb)
-        with span("strategy.explain_direct", category="strategy", batch=n, blocks=n_blocks):
-            phi, base, margins = _run_kernel(ps, X, sample_rows)
+        with span(f"strategy.{self.name}", category="strategy", batch=n, blocks=n_blocks):
+            phi, base, margins = compute_shap(ps, np.asarray(X)[sample_rows])
             counters = TrafficCounters()
-            # Warp-broadcast record reads: all 32 lanes want the same
-            # edge record, so each warp pays one transaction per record.
-            n_warps = -(-n // spec.warp_size)
-            rec_tx = -(-PathSet.EDGE_BYTES // spec.transaction_bytes)
-            tx = n_warps * ps.n_edges * rec_tx
-            counters.forest_global.add(
-                n * ps.n_edges * PathSet.EDGE_BYTES,
-                tx * spec.transaction_bytes,
-                tx,
-                n * ps.n_edges,
-            )
+            self._charge_paths(counters, ps, n, n_blocks, spec)
             _charge_sample_reads(counters, ps, n, spec)
             _charge_output_writes(counters, ps, n, spec)
             steps = explain_work_steps(ps)
             per_thread_steps = np.full(n, steps, dtype=np.int64)
-            waves = -(-n_blocks // spec.concurrent_blocks(tpb))
+            waves = -(-n_blocks // spec.concurrent_blocks(tpb, smem))
             breakdown = execution_time(
                 counters,
                 spec,
@@ -145,6 +144,7 @@ class ExplainDirectStrategy:
                 n_blocks=n_blocks,
                 per_thread_steps=per_thread_steps,
                 chain_steps=float(steps) * waves,
+                block_shared_bytes=smem,
                 sample_first_touch_bytes=n * ps.n_features * 4,
                 forest_footprint_bytes=ps.image_bytes,
             )
@@ -162,79 +162,42 @@ class ExplainDirectStrategy:
         )
 
 
-class ExplainSharedPathsStrategy:
+class ExplainDirectStrategy(_PathImageStrategy):
+    """Path image streamed from global memory, sample per thread."""
+
+    name = "explain_direct"
+
+    def _charge_paths(self, counters, ps, n, n_blocks, spec):
+        # Warp-broadcast record reads: all 32 lanes want the same edge
+        # record, so each warp pays one transaction per record.
+        n_warps = -(-n // spec.warp_size)
+        rec_tx = -(-PathSet.EDGE_BYTES // spec.transaction_bytes)
+        tx = n_warps * ps.n_edges * rec_tx
+        counters.forest_global.add(
+            n * ps.n_edges * PathSet.EDGE_BYTES,
+            tx * spec.transaction_bytes,
+            tx,
+            n * ps.n_edges,
+        )
+
+
+class ExplainSharedPathsStrategy(_PathImageStrategy):
     """Path image staged to shared memory once per block."""
 
     name = "explain_shared_paths"
-
-    def __init__(self, threads_per_block: int = 256) -> None:
-        self._threads_per_block = threads_per_block
+    image_in_smem = True
 
     def is_applicable(self, layout: ForestLayout, spec: GPUSpec) -> bool:
         return path_set_for_layout(layout).image_bytes <= spec.shared_mem_per_block
 
-    def run(
-        self,
-        layout: ForestLayout,
-        X: np.ndarray,
-        spec: GPUSpec,
-        sample_rows: np.ndarray | None = None,
-        collect_level_stats: bool = False,
-    ) -> ExplainStrategyResult:
-        ps = path_set_for_layout(layout)
-        if ps.image_bytes > spec.shared_mem_per_block:
-            raise StrategyNotApplicable(
-                f"path image ({ps.image_bytes} B) exceeds shared memory "
-                f"({spec.shared_mem_per_block} B) on {spec.name}"
-            )
-        if sample_rows is None:
-            sample_rows = np.arange(np.asarray(X).shape[0], dtype=np.int64)
-        n = int(sample_rows.shape[0])
-        tpb = self._threads_per_block
-        n_blocks = max(1, (n + tpb - 1) // tpb)
-        with span(
-            "strategy.explain_shared_paths", category="strategy", batch=n, blocks=n_blocks
-        ):
-            phi, base, margins = _run_kernel(ps, X, sample_rows)
-            counters = TrafficCounters()
-            # Stage the image once per block, then serve record reads
-            # from SMEM (bank-conflict-free broadcast).
-            add_coalesced_staging(
-                counters, n_blocks * ps.image_bytes, spec, source="forest"
-            )
-            accesses = n * ps.n_edges
-            counters.shared_read.add(
-                accesses * PathSet.EDGE_BYTES,
-                accesses * PathSet.EDGE_BYTES,
-                accesses,
-                accesses,
-            )
-            _charge_sample_reads(counters, ps, n, spec)
-            _charge_output_writes(counters, ps, n, spec)
-            steps = explain_work_steps(ps)
-            per_thread_steps = np.full(n, steps, dtype=np.int64)
-            waves = -(-n_blocks // spec.concurrent_blocks(tpb, ps.image_bytes))
-            breakdown = execution_time(
-                counters,
-                spec,
-                n_threads=n,
-                threads_per_block=tpb,
-                n_blocks=n_blocks,
-                per_thread_steps=per_thread_steps,
-                chain_steps=float(steps) * waves,
-                block_shared_bytes=ps.image_bytes,
-                sample_first_touch_bytes=n * ps.n_features * 4,
-                forest_footprint_bytes=ps.image_bytes,
-            )
-        return ExplainStrategyResult(
-            strategy=self.name,
-            predictions=margins,
-            breakdown=breakdown,
-            counters=counters,
-            per_thread_steps=per_thread_steps,
-            n_blocks=n_blocks,
-            threads_per_block=tpb,
-            batch_size=n,
-            attributions=phi,
-            base_values=base,
+    def _charge_paths(self, counters, ps, n, n_blocks, spec):
+        # Stage the image once per block, then serve record reads from
+        # SMEM (bank-conflict-free broadcast).
+        add_coalesced_staging(counters, n_blocks * ps.image_bytes, spec, source="forest")
+        accesses = n * ps.n_edges
+        counters.shared_read.add(
+            accesses * PathSet.EDGE_BYTES,
+            accesses * PathSet.EDGE_BYTES,
+            accesses,
+            accesses,
         )

@@ -1,9 +1,14 @@
 """Tests for the multi-GPU engine."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import MultiGPUTahoeEngine, TahoeEngine
+from repro.modelstore import import_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestMultiGPUEngine:
@@ -44,6 +49,15 @@ class TestMultiGPUEngine:
         engine = MultiGPUTahoeEngine(small_forest, p100, n_gpus=2)
         with pytest.raises(ValueError):
             engine.predict(np.zeros((0, small_forest.n_attributes), np.float32))
+
+    def test_multiclass_predictions_keep_the_class_axis(self, p100):
+        forest = import_model(FIXTURES / "xgboost_multiclass_model.json")
+        X = np.random.default_rng(1).normal(0.45, 0.3, size=(41, forest.n_attributes))
+        X = X.astype(np.float32)
+        multi = MultiGPUTahoeEngine(forest, p100, n_gpus=2).predict(X, batch_size=16)
+        solo = TahoeEngine(forest, p100).predict(X, batch_size=16)
+        assert multi.predictions.shape == (X.shape[0], forest.n_classes)
+        np.testing.assert_array_equal(multi.predictions, solo.predictions)
 
     def test_update_forest_propagates(self, small_forest, small_gbdt, p100, test_X):
         engine = MultiGPUTahoeEngine(small_forest, p100, n_gpus=2)

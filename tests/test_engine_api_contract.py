@@ -1,12 +1,15 @@
 """API-contract tests: every engine behind the one unified surface.
 
-Drives ``TahoeEngine``, ``FILEngine`` and ``MultiGPUTahoeEngine``
-through the shared :class:`repro.core.Engine` protocol — construction
-keywords, uniform ``predict``, result shape, ``update_forest`` return
-type, empty-batch error.  The v1.1 positional-argument deprecation
-shims are gone: positional calls past ``(forest, spec)`` now raise
+Drives ``TahoeEngine``, ``FILEngine``, ``NativeEngine`` and
+``MultiGPUTahoeEngine`` through the shared :class:`repro.core.Engine`
+protocol — construction keywords, uniform ``predict``, result shape,
+``update_forest`` return type, empty-batch error — and, on a multiclass
+model, every hook of the shared batch driver (class-shaped outputs,
+chunked explain).  Positional calls past ``(forest, spec)`` raise
 ``TypeError`` like any keyword-only signature.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,15 @@ from repro import (
     TahoeConfig,
     TahoeEngine,
 )
+from repro.core import NativeEngine
+from repro.modelstore import import_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 ENGINE_FACTORIES = {
     "tahoe": lambda forest, spec, **kw: TahoeEngine(forest, spec, **kw),
     "fil": lambda forest, spec, **kw: FILEngine(forest, spec, **kw),
+    "native": lambda forest, spec, **kw: NativeEngine(forest, spec, **kw),
     "multi": lambda forest, spec, **kw: MultiGPUTahoeEngine(
         forest, spec, n_gpus=2, **kw
     ),
@@ -75,7 +83,12 @@ class TestEngineProtocol:
         assert result.report is not None
         assert result.report.n_samples == test_X.shape[0]
         assert result.report.total_time == pytest.approx(result.total_time)
-        expected = {"tahoe": "tahoe", "fil": "fil", "multi": "tahoe-multigpu"}[name]
+        expected = {
+            "tahoe": "tahoe",
+            "fil": "fil",
+            "native": "native",
+            "multi": "tahoe-multigpu",
+        }[name]
         assert result.report.engine == expected
 
     def test_update_forest_returns_stats(self, any_engine, small_gbdt, p100, test_X):
@@ -89,6 +102,39 @@ class TestEngineProtocol:
         np.testing.assert_allclose(
             engine.predict(test_X).predictions, forest.predict(test_X), rtol=1e-4
         )
+
+
+class TestMulticlassDriver:
+    """A multiclass forest through every engine's batch driver."""
+
+    @pytest.fixture(scope="class")
+    def multiclass(self):
+        forest = import_model(FIXTURES / "xgboost_multiclass_model.json")
+        X = np.random.default_rng(3).normal(0.45, 0.3, size=(37, forest.n_attributes))
+        X[::5, 2] = np.nan
+        return forest, X.astype(np.float32)
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_FACTORIES))
+    def test_predict_has_a_class_axis(self, name, multiclass, p100):
+        forest, X = multiclass
+        engine = ENGINE_FACTORIES[name](forest, p100)
+        result = engine.predict(X, batch_size=8)
+        assert result.predictions.shape == (X.shape[0], forest.n_classes)
+        reference = TahoeEngine(forest, p100).predict(X).predictions
+        np.testing.assert_array_equal(result.predictions, reference)
+
+    @pytest.mark.parametrize("name", ["tahoe", "fil", "native"])
+    def test_chunked_explain_equals_whole_batch(self, name, multiclass, p100):
+        forest, X = multiclass
+        engine = ENGINE_FACTORIES[name](forest, p100)
+        whole = engine.explain(X)
+        chunked = engine.explain(X, batch_size=8)
+        K = forest.n_classes
+        assert chunked.attributions.shape == (X.shape[0], forest.n_attributes, K)
+        assert len(chunked.batches) == len(chunked.strategies_used) == 5
+        np.testing.assert_array_equal(chunked.attributions, whole.attributions)
+        np.testing.assert_array_equal(chunked.predictions, whole.predictions)
+        np.testing.assert_array_equal(chunked.base_values, whole.base_values)
 
 
 class TestKeywordOnlySurface:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serving import (
+    PolicyConfig,
     SchedulerConfig,
     SLOConfig,
     SLOMonitor,
@@ -95,20 +96,22 @@ class TestServerIntegration:
     def test_server_accepts_config_monitor_or_none(self, small_forest, p100):
         cfg = SchedulerConfig(n_engines=1)
         assert TahoeServer(small_forest, p100, scheduler=cfg).slo is None
-        s = TahoeServer(small_forest, p100, scheduler=cfg, slo=SLOConfig())
+        s = TahoeServer(small_forest, p100, scheduler=cfg, policy=PolicyConfig(slo=SLOConfig()))
         assert isinstance(s.slo, SLOMonitor)
         monitor = SLOMonitor(SLOConfig())
-        s = TahoeServer(small_forest, p100, scheduler=cfg, slo=monitor)
+        s = TahoeServer(small_forest, p100, scheduler=cfg, policy=PolicyConfig(slo=monitor))
         assert s.slo is monitor
         with pytest.raises(TypeError):
-            TahoeServer(small_forest, p100, scheduler=cfg, slo=object())
+            TahoeServer(small_forest, p100, scheduler=cfg, policy=PolicyConfig(slo=object()))
 
     def test_healthy_run_has_no_breaches(self, small_forest, p100, test_X):
         server = TahoeServer(
             small_forest,
             p100,
             scheduler=SchedulerConfig(n_engines=2),
-            slo=SLOConfig(latency_p95=1.0, error_rate=0.5, window=0.05),
+            policy=PolicyConfig(
+                slo=SLOConfig(latency_p95=1.0, error_rate=0.5, window=0.05)
+            ),
         )
         reqs = poisson_workload(test_X, qps=2000, duration=0.1, seed=3)
         result = server.run(reqs)
@@ -124,8 +127,10 @@ class TestServerIntegration:
             small_forest,
             p100,
             scheduler=SchedulerConfig(n_engines=1, max_batch=8, max_wait=2e-3),
-            slo=SLOConfig(
-                latency_p95=2e-3, error_rate=0.05, window=0.05, min_requests=10
+            policy=PolicyConfig(
+                slo=SLOConfig(
+                    latency_p95=2e-3, error_rate=0.05, window=0.05, min_requests=10
+                )
             ),
         )
         reqs = burst_workload(
