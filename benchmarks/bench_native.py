@@ -9,8 +9,11 @@ for serving.  Scenarios:
   native serving planner measures).
 * ``forest_sweep`` — samples/sec vs forest size (tree-count slices of
   the letter bench forest).
-* ``kernels`` — numpy vs numba (vs the pure-Python scalar reference in
-  full mode); numba availability is recorded either way.
+* ``kernels`` — predict throughput (batch ``kernel_batch`` and batch 1)
+  of the compiled C kernel vs the numpy kernel (vs the pure-Python
+  scalar reference in full mode), and explain throughput of the C vs
+  numpy SHAP kernels, each with a bit-identity flag against numpy; the
+  C library's build status is recorded either way.
 * ``coldstart`` — cold engine build (conversion + flatten) vs adopting a
   packed ``.tahoe`` artifact, plus first-predict latency for each.
 * ``serving`` — identical open-loop workloads through ``TahoeServer``
@@ -44,12 +47,17 @@ import numpy as np
 
 import common
 from repro.core import LayoutCache, TahoeEngine
-from repro.core.native import HAVE_NUMBA, NativeEngine, available_kernels
+from repro.core import ckernel
+from repro.core.native import NativeEngine, available_kernels
+from repro.explain.kernel import _shap_numpy
+from repro.explain.paths import path_set_for_layout
 from repro.modelstore import load_packed, pack_layout
 from repro.serving import SchedulerConfig, TahoeServer, poisson_workload
 
 DATASET = "letter"
 GPU = "P100"
+#: Rows per timed explain call in the kernel comparison.
+EXPLAIN_BATCH = 64
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -97,17 +105,16 @@ def bench_forest_sweep(forest, spec, X, tree_counts, batch, repeats) -> dict:
 
 
 def bench_kernels(forest, spec, X, batch, repeats, quick) -> dict:
-    kernels = ["numpy"]
-    if HAVE_NUMBA:
-        kernels.append("numba")
-    if not quick:
-        kernels.append("scalar")
+    kernels = [k for k in ("numpy", "c", "scalar") if k in available_kernels()]
+    if quick:
+        kernels.remove("scalar")
     batch_X = _pool(X, batch)
+    one = batch_X[:1]
+    out = {"kernels_present": list(available_kernels()), "c_status": ckernel.status}
     ref = None
-    out = {"numba_available": HAVE_NUMBA, "kernels_present": list(available_kernels())}
     for kernel in kernels:
         engine = NativeEngine(forest, spec, kernel=kernel)
-        engine.predict(batch_X[:64])  # warm (numba JIT compiles here)
+        engine.predict(batch_X[:64])  # warm
         wall = _best_of(lambda: engine.predict(batch_X), repeats)
         preds = engine.predict(batch_X).predictions
         if ref is None:
@@ -115,8 +122,28 @@ def bench_kernels(forest, spec, X, batch, repeats, quick) -> dict:
         out[kernel] = {
             "wall_s": wall,
             "samples_per_s": batch / wall,
+            "batch1_wall_s": _best_of(lambda: engine.predict(one), 5 * repeats),
             "bit_identical_to_numpy": bool(np.array_equal(preds, ref)),
         }
+    # Explain: the two SHAP kernels on the same path set and rows.
+    ps = path_set_for_layout(engine.layout)
+    explain_X = _pool(X, EXPLAIN_BATCH)
+    shap_kernels = {"numpy": lambda rows: _shap_numpy(ps, rows)}
+    if ckernel.available():
+        shap_kernels["c"] = lambda rows: ckernel.shap(ps, rows)
+    phi_ref = None
+    for kernel, fn in shap_kernels.items():
+        fn(explain_X[:1])  # warm (binds the path set)
+        wall = _best_of(lambda: fn(explain_X), repeats)
+        phi = fn(explain_X)
+        if phi_ref is None:
+            phi_ref = phi
+        out[kernel].update(
+            explain_wall_s=wall,
+            explain_samples_per_s=EXPLAIN_BATCH / wall,
+            explain_batch1_wall_s=_best_of(lambda: fn(explain_X[:1]), 5 * repeats),
+            explain_bit_identical_to_numpy=bool(np.array_equal(phi, phi_ref)),
+        )
     return out
 
 
@@ -222,14 +249,14 @@ def main(argv: list[str] | None = None) -> int:
     engine = NativeEngine(forest, spec)
     print(
         f"native bench: {forest.n_trees} trees on {DATASET}, "
-        f"kernel={engine.kernel} (numba {'on' if HAVE_NUMBA else 'off'})"
+        f"kernel={engine.kernel} (C library: {ckernel.status})"
     )
     payload = {
         "time_domain": "wall",
         "gpu": spec.name,
         "dataset": DATASET,
         "n_trees": forest.n_trees,
-        "numba_available": HAVE_NUMBA,
+        "c_status": ckernel.status,
         "default_kernel": engine.kernel,
         "quick": bool(args.quick),
         "batch_sweep": bench_batch_sweep(engine, X, batch_sizes, repeats),
@@ -254,6 +281,13 @@ def main(argv: list[str] | None = None) -> int:
     sweep = payload["batch_sweep"]
     for b, row in sweep.items():
         print(f"  batch {b:>6}: {row['samples_per_s']:14,.0f} samples/s")
+    for kernel, row in payload["kernels"].items():
+        if isinstance(row, dict):
+            explain = row.get("explain_samples_per_s")
+            print(
+                f"  {kernel:>6} kernel: predict {row['samples_per_s']:12,.0f} samples/s"
+                + (f", explain {explain:10,.0f} samples/s" if explain else "")
+            )
     serving = payload["serving"]
     print(
         f"  serving wall speedup (native vs simulator pool): "

@@ -247,7 +247,7 @@ def _predict_native(args, spec, forest, packed, X) -> int:
     simulator engine run alongside as the bit-identity reference."""
     import time as _time
 
-    from repro.core.native import HAVE_NUMBA, NativeEngine
+    from repro.core.native import NativeEngine
 
     if packed is not None:
         native = packed.make_engine(spec, backend="native")
@@ -275,7 +275,7 @@ def _predict_native(args, spec, forest, packed, X) -> int:
         print(f"wrote {args.report_json}")
     print(f"samples: {X.shape[0]}, batch: {args.batch or X.shape[0]}")
     print(
-        f"native ({native.kernel} kernel, numba {'on' if HAVE_NUMBA else 'off'}): "
+        f"native ({native.kernel} kernel): "
         f"{rn.total_time * 1e3:9.3f} ms wall "
         f"({rn.throughput:,.0f} samples/s, predict() end-to-end "
         f"{wall * 1e3:.3f} ms)"
@@ -304,7 +304,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     X = split.test.X[: args.limit] if args.limit else split.test.X
 
     if args.backend == "native":
-        from repro.core.native import HAVE_NUMBA, NativeEngine
+        from repro.core import ckernel
+        from repro.core.native import NativeEngine
 
         if packed is not None:
             engine = packed.make_engine(spec, backend="native")
@@ -312,9 +313,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         else:
             engine = NativeEngine(forest, spec)
         result = engine.explain(X, batch_size=args.batch, report=bool(args.report_json))
-        label = (
-            f"native ({engine.kernel} kernel, numba {'on' if HAVE_NUMBA else 'off'})"
-        )
+        shap_kernel = "c" if ckernel.available() else "numpy"
+        label = f"native ({shap_kernel} SHAP kernel)"
         clock = "wall"
         runs = [(label, result)]
     else:

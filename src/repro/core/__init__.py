@@ -16,9 +16,10 @@
   learning reconversion.
 * :class:`~repro.core.fil.FILEngine` — the RAPIDS FIL baseline: reorg
   format + shared-data strategy, no rearrangement, fixed-width records.
-* :class:`~repro.core.native.NativeEngine` — real vectorised execution
-  of converted layouts on the host (wall-clock ``time_domain``), with an
-  optional numba fast path.
+* :class:`~repro.core.native.NativeEngine` — real execution of converted
+  layouts on the host (wall-clock ``time_domain``) by the compiled C
+  kernels of :mod:`~repro.core.ckernel`, or by vectorised numpy when no
+  C compiler is available.
 * :class:`~repro.core.multi.MultiGPUTahoeEngine` — data-parallel pool of
   Tahoe replicas sharing one converted layout.
 * :func:`engine_class` — which engine class serves a model of a given

@@ -167,11 +167,19 @@ class EngineBase:
         return {}
 
 
-def check_batch(X: np.ndarray) -> np.ndarray:
-    """Coerce an inference batch to float32 and reject empty input."""
+def check_batch(X: np.ndarray, n_attributes: int) -> np.ndarray:
+    """Coerce an inference batch to float32; reject empty input and rows
+    narrower than the forest's ``n_attributes`` (wider rows are accepted,
+    their extra columns unused)."""
     X = np.asarray(X, dtype=np.float32)
-    if X.shape[0] == 0:
+    if X.ndim == 0 or X.shape[0] == 0:
         raise ValueError("empty inference batch")
+    if X.ndim != 2:
+        raise ValueError(f"inference batch must be 2-D, got shape {X.shape}")
+    if X.shape[1] < n_attributes:
+        raise ValueError(
+            f"inference batch has {X.shape[1]} columns but the forest needs {n_attributes}"
+        )
     return X
 
 

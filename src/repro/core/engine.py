@@ -320,7 +320,7 @@ class PipelineEngine(EngineBase):
 
     def _drive(self, call, X, batch_size, report, collect_level_stats=False):
         """The batch driver behind ``predict`` and ``explain`` (``call``)."""
-        X = check_batch(X)
+        X = check_batch(X, self.forest.n_attributes)
         n = X.shape[0]
         if batch_size is None or batch_size >= n:
             batch_size = n

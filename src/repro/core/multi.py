@@ -128,7 +128,7 @@ class MultiGPUTahoeEngine(EngineBase):
         ``[g * ceil(n / n_gpus), ...)``.  Completion time is the slowest
         shard's simulated time.
         """
-        X = check_batch(X)
+        X = check_batch(X, self.engines[0].forest.n_attributes)
         n = X.shape[0]
         shard = -(-n // self.n_gpus)
         predictions = prediction_buffer(n, self.engines[0].forest.n_classes)

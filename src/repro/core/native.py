@@ -1,12 +1,12 @@
-"""The native backend: real vectorised execution of converted layouts.
+"""The native backend: real host execution of converted layouts.
 
 Every other engine in this repo *simulates* a GPU — their throughput
 numbers measure how fast the simulator runs, not how fast a forest can
 be evaluated.  :class:`NativeEngine` closes that gap: it takes an
 already-converted :class:`~repro.formats.layout.ForestLayout` (tahoe
 adaptive or fil reorg — the flattening is format-agnostic) and executes
-it with batched, vectorised traversal on the host, reporting genuine
-wall-clock time (``EngineResult.time_domain == "wall"``).
+it on the host with compiled C (or vectorised numpy) traversal,
+reporting genuine wall-clock time (``EngineResult.time_domain == "wall"``).
 
 Execution scheme (Py-Boost's ``EnsembleInference`` trick, adapted):
 
@@ -18,20 +18,18 @@ Execution scheme (Py-Boost's ``EnsembleInference`` trick, adapted):
   Leaves become self-loops (both children point at the leaf itself), so
   finished lanes need no masking — they just gather themselves until
   the loop ends.
-* **Traversal** — all ``(sample, tree)`` cursors advance one level per
-  step with fancy-indexed gathers over the flat arrays
-  (level-synchronous), or sample-by-sample in the scalar kernel that
-  numba JIT-compiles when available.
+* **Traversal** — the compiled C kernel (:mod:`repro.core.ckernel`,
+  ``kernel="c"``) walks each (sample, tree) pair to its leaf.  Without a
+  C compiler the vectorised numpy kernel serves instead: all
+  ``(sample, tree)`` cursors advance one level per step with
+  fancy-indexed gathers over the flat arrays (level-synchronous).  The
+  pure-Python scalar kernel (``kernel="scalar"``) is the reference both
+  are tested against.
 * **Reduction** — per-tree leaf values accumulate into a float64
   per-sample sum and run through the exact same
   :func:`~repro.strategies.base.finalize_predictions` the simulated
   strategies use, which is what makes native predictions bit-identical
   to :class:`~repro.core.engine.TahoeEngine`'s.
-
-numba is detected at import (:data:`HAVE_NUMBA`); without it the
-vectorised numpy kernel serves, and the scalar kernel remains callable
-in pure Python (``kernel="scalar"``) so its logic is testable on
-numba-less machines.
 
 The engine conforms to the shared :class:`~repro.core.base.Engine`
 surface and shares the :class:`~repro.core.cache.LayoutCache` with
@@ -43,10 +41,11 @@ adopt with zero conversion via :meth:`NativeEngine.from_layout`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import ckernel
 from repro.core.base import TIME_DOMAIN_WALL
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
@@ -70,20 +69,11 @@ from repro.trees.forest import Forest
 from repro.trees.tree import LEAF
 
 __all__ = [
-    "HAVE_NUMBA",
     "NativeEngine",
     "NativeForest",
     "available_kernels",
     "flatten_native",
 ]
-
-try:  # pragma: no cover - exercised on numba-equipped machines/CI only
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except ImportError:  # the container default: clean numpy fallback
-    _numba = None
-    HAVE_NUMBA = False
 
 #: Target (sample, tree) lanes per vectorised traversal chunk — bounds
 #: the working set of the gather matrices (~4 MB of int32 per array at
@@ -94,22 +84,20 @@ _TARGET_LANES = 1 << 20
 
 def _resolve_kernel(kernel: str | None) -> str:
     if kernel is None:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if kernel not in ("numpy", "numba", "scalar"):
+        return "c" if ckernel.available() else "numpy"
+    if kernel not in ("c", "numpy", "scalar"):
+        raise ValueError(f"unknown native kernel {kernel!r} (need c, numpy, or scalar)")
+    if kernel == "c" and not ckernel.available():
         raise ValueError(
-            f"unknown native kernel {kernel!r} (need numpy, numba, or scalar)"
-        )
-    if kernel == "numba" and not HAVE_NUMBA:
-        raise ValueError(
-            "kernel='numba' requested but numba is not installed; "
-            "install numba or use kernel='numpy'"
+            f"kernel='c' requested but the C kernels are unavailable ({ckernel.status}); "
+            "use kernel='numpy'"
         )
     return kernel
 
 
 def available_kernels() -> tuple[str, ...]:
-    """Kernels this process can run (``numba`` only when importable)."""
-    return ("numpy", "numba", "scalar") if HAVE_NUMBA else ("numpy", "scalar")
+    """Kernels this process can run (``c`` only when the library loaded)."""
+    return ("c", "numpy", "scalar") if ckernel.available() else ("numpy", "scalar")
 
 
 @dataclass
@@ -151,6 +139,8 @@ class NativeForest:
     cat_offset: np.ndarray | None = None  # int64, -1 at numeric nodes
     cat_count: np.ndarray | None = None  # int32 words per bitset
     cat_bits: np.ndarray | None = None  # uint32 pool
+    #: The C kernel's argument struct (:func:`repro.core.ckernel.bind_forest`).
+    binding: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
@@ -262,103 +252,41 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
 # ----------------------------------------------------------------------
 # Kernels
 # ----------------------------------------------------------------------
-def _traverse_scalar(
-    X, feature, threshold, child_true, child_false, default_true, value, roots, out
-):
-    """Reference scalar kernel — the exact code numba JIT-compiles.
+def _traverse_scalar(X: np.ndarray, flat: NativeForest, out: np.ndarray) -> np.ndarray:
+    """Reference scalar kernel: one (sample, tree) walk at a time.
 
-    Plain nested loops, one (sample, tree) walk at a time, float64 leaf
-    accumulation.  Kept free of Python-only constructs so the same
-    function object works under ``@njit`` and as the pure-Python
-    ``kernel="scalar"`` fallback.
+    Plain pure-Python loops, run by ``kernel="scalar"``: the reference
+    that ``repro_traverse`` in ``ckernel.c`` follows line for line.
+    ``out`` is ``(n_samples, n_groups)``; leaf values accumulate in
+    float64 in tree order.
     """
-    n_samples = X.shape[0]
-    n_trees = roots.shape[0]
-    for i in range(n_samples):
-        acc = 0.0
-        for t in range(n_trees):
-            node = roots[t]
-            f = feature[node]
-            while f >= 0:
-                v = X[i, f]
-                if v != v:  # NaN: follow the (flip-resolved) default path
-                    go = default_true[node]
-                else:
-                    go = v < threshold[node]
-                if go:
-                    node = child_true[node]
-                else:
-                    node = child_false[node]
-                f = feature[node]
-            # Explicit float64 cast: numba promotes f64 += f32 itself,
-            # but NEP 50 numpy-scalar arithmetic would demote the pure-
-            # Python accumulator to float32 without it.
-            acc += float(value[node])
-        out[i] = acc
-    return out
-
-
-def _traverse_scalar_ext(
-    X,
-    feature,
-    threshold,
-    child_true,
-    child_false,
-    default_true,
-    value,
-    roots,
-    group,
-    cat_offset,
-    cat_count,
-    cat_bits,
-    out,
-):
-    """Extended scalar kernel: per-class accumulation + categorical splits.
-
-    Kept separate from :func:`_traverse_scalar` so the historical
-    single-margin numeric signature (and its on-disk numba cache) stays
-    frozen.  ``out`` is ``(n_samples, n_groups)``; single-output forests
-    with categorical nodes pass a 1-column ``out``.
-    """
-    n_samples = X.shape[0]
-    n_trees = roots.shape[0]
-    for i in range(n_samples):
-        for t in range(n_trees):
-            node = roots[t]
-            f = feature[node]
+    cat = flat.cat_offset
+    group = flat.tree_group
+    for i in range(X.shape[0]):
+        for t in range(flat.n_trees):
+            node = flat.roots[t]
+            f = flat.feature[node]
             while f >= 0:
                 v = X[i, f]
                 if v != v:  # NaN: the (flip-resolved) default path
-                    go = default_true[node]
-                elif cat_offset[node] >= 0:
+                    go = flat.default_true[node]
+                elif cat is not None and cat[node] >= 0:
                     # Bitset membership on the truncated category code;
-                    # negative / out-of-range codes are non-members.
+                    # negative, infinite and out-of-range codes are
+                    # non-members.
                     go = False
-                    if v >= 0:
-                        code = np.int64(v)
-                        w = code >> 5
-                        if w < cat_count[node]:
-                            bits = np.int64(cat_bits[cat_offset[node] + w])
-                            go = ((bits >> (code & 31)) & 1) == 1
+                    if 0 <= v < 32 * int(flat.cat_count[node]):
+                        code = int(v)
+                        bits = int(flat.cat_bits[cat[node] + (code >> 5)])
+                        go = ((bits >> (code & 31)) & 1) == 1
                 else:
-                    go = v < threshold[node]
-                if go:
-                    node = child_true[node]
-                else:
-                    node = child_false[node]
-                f = feature[node]
-            out[i, group[t]] += float(value[node])
+                    go = v < flat.threshold[node]
+                node = flat.child_true[node] if go else flat.child_false[node]
+                f = flat.feature[node]
+            # Explicit float64: NEP 50 numpy-scalar arithmetic would
+            # demote a float32 sum.
+            out[i, 0 if group is None else group[t]] += float(flat.value[node])
     return out
-
-
-if HAVE_NUMBA:  # pragma: no cover - numba-equipped environments only
-    _traverse_scalar_jit = _numba.njit(cache=True, nogil=True)(_traverse_scalar)
-    _traverse_scalar_ext_jit = _numba.njit(cache=True, nogil=True)(
-        _traverse_scalar_ext
-    )
-else:
-    _traverse_scalar_jit = None
-    _traverse_scalar_ext_jit = None
 
 
 def _traverse_numpy(X: np.ndarray, flat: NativeForest, out: np.ndarray) -> np.ndarray:
@@ -504,7 +432,7 @@ class NativeBreakdown:
 
 
 class NativeEngine(PipelineEngine):
-    """Vectorised wall-clock execution of converted forest layouts.
+    """Wall-clock host execution of converted forest layouts.
 
     A :class:`~repro.core.engine.PipelineEngine`: construction from a
     forest runs the *same* conversion stages as :class:`TahoeEngine`
@@ -514,8 +442,8 @@ class NativeEngine(PipelineEngine):
     the simulated GPU image, and every batch runs the host kernel.
 
     Constructor arguments are :class:`~repro.core.engine.PipelineEngine`'s
-    plus ``kernel`` — ``"numba"`` / ``"numpy"`` / ``"scalar"``,
-    auto-detected (numba when importable, numpy otherwise) when omitted.
+    plus ``kernel`` — ``"c"`` / ``"numpy"`` / ``"scalar"``; when omitted,
+    ``"c"`` if the compiled library loaded, ``"numpy"`` otherwise.
     ``spec`` and ``hardware`` feed the simulated-GPU half of the hardware
     ranking (the §6 candidate the native target is compared to).
     """
@@ -584,11 +512,17 @@ class NativeEngine(PipelineEngine):
 
     def _install(self) -> None:
         self.flat = flatten_native(self.layout)
+        if ckernel.available():
+            ckernel.bind_forest(self.flat)
         self._cost_model: NativeCostModel | None = None  # re-calibrate
         self._ranked_cache: dict[int, list] = {}
 
     def _report_meta(self) -> dict:
-        return {"time_domain": TIME_DOMAIN_WALL, "kernel": self.kernel, "numba": HAVE_NUMBA}
+        return {
+            "time_domain": TIME_DOMAIN_WALL,
+            "kernel": self.kernel,
+            "shap_kernel": "c" if ckernel.available() else "numpy",
+        }
 
     # ------------------------------------------------------------------
     # Execution
@@ -600,33 +534,14 @@ class NativeEngine(PipelineEngine):
         for multiclass ones (what :func:`finalize_predictions` expects).
         """
         flat = self.flat
-        multi = flat.n_groups > 1
         if self.kernel == "numpy":
-            shape = (X.shape[0], flat.n_groups) if multi else X.shape[0]
+            shape = (X.shape[0], flat.n_groups) if flat.n_groups > 1 else X.shape[0]
             return _traverse_numpy(X, flat, np.empty(shape, dtype=np.float64))
-        numba = self.kernel == "numba"
-        walk = (
-            X,
-            flat.feature,
-            flat.threshold,
-            flat.child_true,
-            flat.child_false,
-            flat.default_true,
-            flat.value,
-            flat.roots,
-        )
-        if multi or flat.has_cat:
-            # Scalar/numba path with classes or categorical nodes → the
-            # extended kernel (2-D accumulator, bitset membership).
-            group = flat.tree_group
-            if group is None:
-                group = np.zeros(flat.n_trees, dtype=np.int64)
-            out = np.zeros((X.shape[0], flat.n_groups), dtype=np.float64)
-            fn = _traverse_scalar_ext_jit if numba else _traverse_scalar_ext
-            res = fn(*walk, group, flat.cat_offset, flat.cat_count, flat.cat_bits, out)
-            return res if multi else res[:, 0]
-        fn = _traverse_scalar_jit if numba else _traverse_scalar
-        return fn(*walk, np.empty(X.shape[0], dtype=np.float64))
+        if self.kernel == "c":
+            out = ckernel.traverse(flat, X)
+        else:
+            out = _traverse_scalar(X, flat, np.zeros((X.shape[0], flat.n_groups)))
+        return out if flat.n_groups > 1 else out[:, 0]
 
     def _run_flat(self, X: np.ndarray) -> tuple[np.ndarray, NativeBreakdown]:
         """Traverse + reduce one batch, wall-clock timed per phase."""

@@ -1,4 +1,4 @@
-"""Vectorised exact TreeSHAP over a :class:`~repro.explain.paths.PathSet`.
+"""Exact TreeSHAP over a :class:`~repro.explain.paths.PathSet`.
 
 This is the workload the explain strategies simulate and the native
 backend times: for every (sample, path) pair, run the Shapley
@@ -6,8 +6,11 @@ permutation-weight recurrences of Lundberg et al.'s TreeSHAP restricted
 to that single path (the GPUTreeShap decomposition), and scatter-add
 each unique feature's contribution into the attribution matrix.
 
-The kernel is batch-vectorised the same way the simulator's traversal
-kernel is: samples form the trailing axis of every intermediate, paths
+Two kernels compute the same bits.  The compiled one
+(:func:`repro.core.ckernel.shap`) runs whenever its library loaded; the
+numpy kernel here serves without a C compiler and is the specification
+the C code follows operation for operation.  The numpy kernel is
+batch-vectorised the same way the simulator's traversal kernel is: samples form the trailing axis of every intermediate, paths
 of equal unique-depth are processed as one array group (the GPU analogy
 is one warp shape per depth bucket), and the EXTEND/UNWIND recurrences
 run as ``d``-step loops over ``(paths_in_group, samples)`` matrices.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import ckernel
 from repro.explain.paths import PathSet
 
 __all__ = ["compute_shap", "shap_check_efficiency"]
@@ -65,15 +69,34 @@ def compute_shap(
     Returns ``(phi, base_values, margins)`` where ``phi`` has shape
     ``(n, n_features, n_classes)``, ``base_values`` is the float64
     per-class expected margin, and ``margins`` is the reconstructed raw
-    margin ``base_values + phi.sum(axis=1)`` (shape ``(n, K)``).
+    margin ``base_values + phi.sum(axis=1)`` (shape ``(n, K)``).  Runs
+    the compiled kernel (:func:`repro.core.ckernel.shap`) when it loaded
+    and the numpy kernel otherwise; the two agree bit for bit.  ``chunk``
+    bounds the numpy kernel's working set (samples per pass).
     """
     X = np.asarray(X, dtype=np.float32)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if X.shape[1] < ps.n_features:
+        raise ValueError(
+            f"X has {X.shape[1]} columns but the forest needs {ps.n_features}"
+        )
+    n = X.shape[0]
+    if ckernel.available():
+        phi = ckernel.shap(ps, X)
+    else:
+        phi = _shap_numpy(ps, X, chunk)
+    phi = phi.reshape(n, ps.n_features, ps.n_classes)
+    margins = ps.base_values[None, :] + phi.sum(axis=1)
+    return phi, ps.base_values.copy(), margins
+
+
+def _shap_numpy(ps: PathSet, X: np.ndarray, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    """The vectorised numpy kernel: ``(n, n_features * n_classes)``
+    attributions of float32 ``X``, ``chunk`` samples at a time."""
     n = X.shape[0]
     F, K = ps.n_features, ps.n_classes
     phi = np.zeros((n, F * K), dtype=np.float64)
-
     depths = np.diff(ps.path_slot_start)
     groups: dict[int, np.ndarray] = {}
     for d in np.unique(depths):
@@ -131,9 +154,7 @@ def compute_shap(
                 )
                 np.add.at(phi_c, (slice(None), cols), contrib.T)
 
-    phi = phi.reshape(n, F, K)
-    margins = ps.base_values[None, :] + phi.sum(axis=1)
-    return phi, ps.base_values.copy(), margins
+    return phi
 
 
 def shap_check_efficiency(

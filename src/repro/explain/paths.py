@@ -34,7 +34,7 @@ share one enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,8 @@ class PathSet:
     n_features: int
     n_classes: int
     base_values: np.ndarray  # float64 (K,) expected margin per class
+    #: The C kernel's argument struct (:func:`repro.core.ckernel.bind_paths`).
+    binding: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_edges(self) -> int:

@@ -56,6 +56,7 @@ class StreamingHistogram:
         "hi",
         "_log_growth",
         "_counts",
+        "_first",
         "underflow",
         "overflow",
         "count",
@@ -75,6 +76,9 @@ class StreamingHistogram:
         self._log_growth = math.log(self.growth)
         n = int(math.ceil(math.log(self.hi / self.lo) / self._log_growth))
         self._counts = [0] * n
+        #: Lowest occupied bucket (``len(_counts)`` while none is), where
+        #: quantile walks start instead of at the empty low end.
+        self._first = n
         self.underflow = 0
         self.overflow = 0
         self.count = 0
@@ -109,6 +113,8 @@ class StreamingHistogram:
             if index >= len(counts):
                 index = len(counts) - 1
             counts[index] += count
+            if index < self._first:
+                self._first = index
 
     # ------------------------------------------------------------------
     # Reading
@@ -139,7 +145,9 @@ class StreamingHistogram:
         if rank <= cumulative:
             # Everything down here is <= lo; min is the best estimate.
             return self.min
-        for index, bucket in enumerate(self._counts):
+        counts = self._counts
+        for index in range(self._first, len(counts)):
+            bucket = counts[index]
             if not bucket:
                 continue
             cumulative += bucket
@@ -175,7 +183,9 @@ class StreamingHistogram:
         cumulative = self.underflow
         if self.underflow:
             out.append((self.lo, cumulative))
-        for index, bucket in enumerate(self._counts):
+        counts = self._counts
+        for index in range(self._first, len(counts)):
+            bucket = counts[index]
             if bucket:
                 cumulative += bucket
                 out.append((self._bound(index), cumulative))
@@ -196,9 +206,11 @@ class StreamingHistogram:
         """Fold ``other``'s observations into this histogram (in place)."""
         if not self.compatible_with(other):
             raise ValueError("cannot merge histograms with different bucket geometry")
-        for index, bucket in enumerate(other._counts):
-            if bucket:
-                self._counts[index] += bucket
+        counts = other._counts
+        for index in range(other._first, len(counts)):
+            if counts[index]:
+                self._counts[index] += counts[index]
+        self._first = min(self._first, other._first)
         self.underflow += other.underflow
         self.overflow += other.overflow
         self.count += other.count

@@ -68,7 +68,7 @@ class NativeCostModel:
     Attributes:
         t_lane_step: seconds per (sample, tree, level) lane step.
         t_fixed: per-call overhead (dispatch + reduction), seconds.
-        kernel: which kernel was calibrated (``numpy`` / ``numba`` /
+        kernel: which kernel was calibrated (``c`` / ``numpy`` /
             ``scalar``) — predictions only transfer within one kernel.
     """
 

@@ -49,6 +49,7 @@ from repro.serving.api import (
 )
 from repro.serving.population import UserPopulationWorkload
 from repro.serving.request import (
+    REJECTED_BAD_REQUEST,
     REJECTED_DEADLINE,
     REJECTED_QUEUE_FULL,
     REJECTED_SHARD_OVERLOADED,
@@ -69,6 +70,7 @@ from repro.serving.workload import (
 )
 
 __all__ = [
+    "REJECTED_BAD_REQUEST",
     "REJECTED_DEADLINE",
     "REJECTED_QUEUE_FULL",
     "REJECTED_SHARD_OVERLOADED",

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "KIND_EXPLAIN",
     "KIND_PREDICT",
+    "REJECTED_BAD_REQUEST",
     "REJECTED_DEADLINE",
     "REJECTED_QUEUE_FULL",
     "REJECTED_SHARD_OVERLOADED",
@@ -33,6 +34,9 @@ __all__ = [
 REJECTED_QUEUE_FULL = "queue_full"
 REJECTED_DEADLINE = "deadline_exceeded"
 REJECTED_SHARD_OVERLOADED = "shard_overloaded"
+#: A malformed request: ``X`` not a non-empty 2-D block at least as wide
+#: as the served forest.
+REJECTED_BAD_REQUEST = "bad_request"
 
 #: Request kinds (the only values ``InferenceRequest.kind`` takes).
 KIND_PREDICT = "predict"

@@ -64,6 +64,7 @@ from repro.perfmodel.notation import HardwareParams
 from repro.perfmodel.selector import rank_strategies
 from repro.serving.api import PolicyConfig, SchedulerConfig, materialize_workload
 from repro.serving.request import (
+    REJECTED_BAD_REQUEST,
     REJECTED_DEADLINE,
     REJECTED_QUEUE_FULL,
     InferenceRequest,
@@ -419,28 +420,42 @@ class TahoeServer:
             "serving.queue_depth", help="queued requests at each arrival"
         ).observe(len(self._queue))
         metrics.counter("serving.requests_total").inc()
-        if len(self._queue) >= self.config.max_queue:
-            metrics.counter("serving.rejected.queue_full").inc()
-            rejection = InferenceResponse(
-                request_id=request.request_id,
-                predictions=None,
-                arrival_time=request.arrival_time,
-                completion_time=self._clock,
-                error=ServingError(
-                    REJECTED_QUEUE_FULL,
-                    f"queue at capacity ({self.config.max_queue} requests)",
-                ),
-                trace=self._reject_trace(request, self._clock, REJECTED_QUEUE_FULL),
+        need = self.engines[0].forest.n_attributes
+        X = request.X
+        if not (isinstance(X, np.ndarray) and X.ndim == 2 and X.shape[0] and X.shape[1] >= need):
+            shape = getattr(X, "shape", None)
+            return self._reject(
+                request,
+                REJECTED_BAD_REQUEST,
+                f"X must be a non-empty (k, n) array with n >= {need} columns, got shape {shape}",
             )
-            self._responses.append(rejection)
-            if self.slo is not None:
-                self.slo.observe(now=self._clock, ok=False)
-            return rejection
+        if len(self._queue) >= self.config.max_queue:
+            return self._reject(
+                request,
+                REJECTED_QUEUE_FULL,
+                f"queue at capacity ({self.config.max_queue} requests)",
+            )
         self._queue.append(request)
         self._queued_samples += request.n_samples
         while self._queued_samples >= self.target_batch:
             self._dispatch(self._clock, self._responses)
         return None
+
+    def _reject(self, request: InferenceRequest, code: str, detail: str) -> InferenceResponse:
+        """Refuse ``request`` at admission with a structured error."""
+        self.recorder.metrics.counter(f"serving.rejected.{code}").inc()
+        rejection = InferenceResponse(
+            request_id=request.request_id,
+            predictions=None,
+            arrival_time=request.arrival_time,
+            completion_time=self._clock,
+            error=ServingError(code, detail),
+            trace=self._reject_trace(request, self._clock, code),
+        )
+        self._responses.append(rejection)
+        if self.slo is not None:
+            self.slo.observe(now=self._clock, ok=False)
+        return rejection
 
     def run(
         self,
@@ -550,7 +565,10 @@ class TahoeServer:
         g = self._next_engine
         self._next_engine = (self._next_engine + 1) % len(self.engines)
         start = max(now, self._engine_free[g])
-        X = np.concatenate([req.X for req in live], axis=0)
+        # Admission guarantees every block is at least as wide as the
+        # forest; wider blocks are trimmed so they stack.
+        width = self.engines[g].forest.n_attributes
+        X = np.concatenate([req.X[:, :width] for req in live], axis=0)
         cache_hit = bool(self.engines[g].conversion_stats.cache_hit)
         explaining = live[0].kind == "explain"
         if explaining:
@@ -742,6 +760,9 @@ class TahoeServer:
                 metrics.counter("serving.rejected.queue_full").value
             ),
             "rejected_deadline": int(metrics.counter("serving.rejected.deadline").value),
+            "rejected_bad_request": int(
+                metrics.counter("serving.rejected.bad_request").value
+            ),
             "deadline_misses": int(metrics.counter("serving.deadline_misses").value),
             "batches": batch_hist.count,
             "target_batch": self.target_batch,

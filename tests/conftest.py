@@ -16,6 +16,22 @@ from repro.trees import GBDTTrainer, RandomForestTrainer
 from repro.trees.tree import LEAF, DecisionTree
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--no-ckernel",
+        action="store_true",
+        help="run as if no C compiler were installed (numpy kernels only)",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--no-ckernel"):
+        from repro.core import ckernel
+
+        ckernel._compiler = lambda: None
+        ckernel._lib = ckernel._UNSET
+
+
 @pytest.fixture(scope="session")
 def p100():
     return GPU_SPECS["P100"]

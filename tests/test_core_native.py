@@ -10,9 +10,9 @@ from repro.core import (
     FILEngine,
     LayoutCache,
     TahoeEngine,
+    ckernel,
 )
 from repro.core.native import (
-    HAVE_NUMBA,
     NativeEngine,
     available_kernels,
     flatten_native,
@@ -112,15 +112,12 @@ class TestEngineContract:
         with pytest.raises(ValueError, match="unknown native kernel"):
             NativeEngine(small_forest, p100, kernel="cuda")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_kernel_rejected_without_numba(self, small_forest, p100):
-        with pytest.raises(ValueError, match="numba is not installed"):
-            NativeEngine(small_forest, p100, kernel="numba")
-
-    def test_available_kernels_reflect_environment(self):
+    def test_available_kernels_reflect_environment(self, small_forest, p100):
         kernels = available_kernels()
         assert "numpy" in kernels and "scalar" in kernels
-        assert ("numba" in kernels) == HAVE_NUMBA
+        assert ("c" in kernels) == ckernel.available()
+        default = NativeEngine(small_forest, p100).kernel
+        assert default == ("c" if ckernel.available() else "numpy")
 
     def test_report_carries_native_identity(self, small_forest, p100, test_X):
         engine = NativeEngine(small_forest, p100)

@@ -6,7 +6,8 @@ Two pillars pin correctness:
   reconstruct the engine's raw margin exactly (float64 tolerance) — on
   hypothesis-generated random forests including NaN routing and
   threshold ties, through every engine path (simulated Tahoe and FIL,
-  native numpy, native numba when present).
+  native); SHAP itself runs in the compiled C kernel when its library
+  loaded and in numpy otherwise.
 * A **differential test** against a brute-force exhaustive-subset
   Shapley reference on tiny forests (≤4 features, ≤3 trees), per class
   for multiclass — the kernel's polynomial-time recurrence must match
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FILEngine, TahoeEngine
-from repro.core.native import HAVE_NUMBA, NativeEngine
+from repro.core.native import NativeEngine
 from repro.explain import (
     brute_force_shapley,
     build_path_set,
@@ -140,18 +141,6 @@ class TestEfficiencyAxiom:
         forest, X = forest_X
         result = NativeEngine(forest, SPEC, kernel="numpy").explain(X)
         assert result.time_domain == "wall"
-        _check_efficiency(
-            forest, X, result.attributions, result.base_values, result.predictions
-        )
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_native_engine_numba(self):
-        rng = np.random.default_rng(3)
-        trees = [_grow_tree(rng, 5, 4) for _ in range(6)]
-        forest = Forest(trees=trees, n_attributes=5, aggregation="mean")
-        X = rng.normal(size=(20, 5)).astype(np.float32)
-        X[2, 1] = np.nan
-        result = NativeEngine(forest, SPEC, kernel="numba").explain(X)
         _check_efficiency(
             forest, X, result.attributions, result.base_values, result.predictions
         )

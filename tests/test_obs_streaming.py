@@ -70,6 +70,48 @@ def test_merge_equals_concatenated_observation(a, b):
         assert merged.quantile(q) == combined.quantile(q)
 
 
+def _full_scan_quantile(h, q):
+    """The quantile walk over every bucket, from the lowest one."""
+    if h.count == 0:
+        return 0.0
+    if q <= 0.0:
+        return h.min
+    if q >= 1.0:
+        return h.max
+    rank = max(1, math.ceil(q * h.count))
+    cumulative = h.underflow
+    if rank <= cumulative:
+        return h.min
+    for index, bucket in enumerate(h._counts):
+        cumulative += bucket
+        if bucket and rank <= cumulative:
+            mid = h.lo * math.exp((index + 0.5) * h._log_growth)
+            return min(h.max, max(h.min, mid))
+    return h.max
+
+
+@given(parts=st.lists(st.lists(_values, max_size=100), min_size=1, max_size=4), q=_quantiles)
+@settings(max_examples=200, deadline=None)
+def test_merged_quantile_tracks_numpy_nearest_rank(parts, q):
+    values = [v for part in parts for v in part]
+    merged = StreamingHistogram()
+    for part in parts:
+        merged.merge(_fill(part))
+    assert merged.quantile(q) == _full_scan_quantile(merged, q)
+    assert merged.cumulative_buckets() == _fill(values).cumulative_buckets()
+    if values:
+        exact = float(np.quantile(np.array(values), q, method="inverted_cdf"))
+        bound = merged.growth**2
+        assert exact / bound <= merged.quantile(q) <= exact * bound
+
+
+@given(values=_value_lists, q=_quantiles)
+@settings(max_examples=100, deadline=None)
+def test_quantile_answers_match_full_scan(values, q):
+    h = _fill(values)
+    assert h.quantile(q) == _full_scan_quantile(h, q)
+
+
 def test_merge_rejects_mismatched_geometry():
     a = StreamingHistogram(growth=1.04)
     b = StreamingHistogram(growth=1.1)
