@@ -9,11 +9,13 @@ for serving.  Scenarios:
   native serving planner measures).
 * ``forest_sweep`` — samples/sec vs forest size (tree-count slices of
   the letter bench forest).
-* ``kernels`` — predict throughput (batch ``kernel_batch`` and batch 1)
-  of the compiled C kernel vs the numpy kernel (vs the pure-Python
+* ``kernels`` — traversal throughput (batch ``kernel_batch`` and batch
+  1) of the compiled C kernel vs the numpy kernel (vs the pure-Python
   scalar reference in full mode), and explain throughput of the C vs
-  numpy SHAP kernels, each with a bit-identity flag against numpy; the
-  C library's build status is recorded either way.
+  numpy SHAP kernels, each with a bit-identity flag against numpy.  The
+  kernel functions are timed directly on the engine's flattened forest
+  and path set (the engine itself runs whichever one the environment
+  provides); the C library's build status is recorded either way.
 * ``coldstart`` — cold engine build (conversion + flatten) vs adopting a
   packed ``.tahoe`` artifact, plus first-predict latency for each.
 * ``serving`` — identical open-loop workloads through ``TahoeServer``
@@ -48,7 +50,7 @@ import numpy as np
 import common
 from repro.core import LayoutCache, TahoeEngine
 from repro.core import ckernel
-from repro.core.native import NativeEngine, available_kernels
+from repro.core.native import NativeEngine, _traverse_numpy, _traverse_scalar
 from repro.explain.kernel import _shap_numpy
 from repro.explain.paths import path_set_for_layout
 from repro.modelstore import load_packed, pack_layout
@@ -105,25 +107,36 @@ def bench_forest_sweep(forest, spec, X, tree_counts, batch, repeats) -> dict:
 
 
 def bench_kernels(forest, spec, X, batch, repeats, quick) -> dict:
-    kernels = [k for k in ("numpy", "c", "scalar") if k in available_kernels()]
-    if quick:
-        kernels.remove("scalar")
+    engine = NativeEngine(forest, spec)
+    flat = engine.flat
+    groups = flat.n_groups
+    # Every traversal kernel yields per-sample float64 leaf sums.
+    kernels = {
+        "numpy": lambda rows: _traverse_numpy(
+            rows, flat, np.empty((rows.shape[0], groups) if groups > 1 else rows.shape[0])
+        ),
+    }
+    if ckernel.available():
+        kernels["c"] = lambda rows: ckernel.traverse(flat, rows)
+    if not quick:
+        kernels["scalar"] = lambda rows: _traverse_scalar(
+            rows, flat, np.zeros((rows.shape[0], groups))
+        )
     batch_X = _pool(X, batch)
     one = batch_X[:1]
-    out = {"kernels_present": list(available_kernels()), "c_status": ckernel.status}
+    out = {"kernels_present": list(kernels), "c_status": ckernel.status}
     ref = None
-    for kernel in kernels:
-        engine = NativeEngine(forest, spec, kernel=kernel)
-        engine.predict(batch_X[:64])  # warm
-        wall = _best_of(lambda: engine.predict(batch_X), repeats)
-        preds = engine.predict(batch_X).predictions
+    for kernel, fn in kernels.items():
+        fn(batch_X[:64])  # warm
+        wall = _best_of(lambda: fn(batch_X), repeats)
+        sums = fn(batch_X).reshape(batch, -1)
         if ref is None:
-            ref = preds
+            ref = sums
         out[kernel] = {
             "wall_s": wall,
             "samples_per_s": batch / wall,
-            "batch1_wall_s": _best_of(lambda: engine.predict(one), 5 * repeats),
-            "bit_identical_to_numpy": bool(np.array_equal(preds, ref)),
+            "batch1_wall_s": _best_of(lambda: fn(one), 5 * repeats),
+            "bit_identical_to_numpy": bool(np.array_equal(sums, ref)),
         }
     # Explain: the two SHAP kernels on the same path set and rows.
     ps = path_set_for_layout(engine.layout)
@@ -285,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(row, dict):
             explain = row.get("explain_samples_per_s")
             print(
-                f"  {kernel:>6} kernel: predict {row['samples_per_s']:12,.0f} samples/s"
+                f"  {kernel:>6} kernel: traverse {row['samples_per_s']:12,.0f} samples/s"
                 + (f", explain {explain:10,.0f} samples/s" if explain else "")
             )
     serving = payload["serving"]

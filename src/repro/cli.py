@@ -304,7 +304,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     X = split.test.X[: args.limit] if args.limit else split.test.X
 
     if args.backend == "native":
-        from repro.core import ckernel
         from repro.core.native import NativeEngine
 
         if packed is not None:
@@ -313,8 +312,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         else:
             engine = NativeEngine(forest, spec)
         result = engine.explain(X, batch_size=args.batch, report=bool(args.report_json))
-        shap_kernel = "c" if ckernel.available() else "numpy"
-        label = f"native ({shap_kernel} SHAP kernel)"
+        label = f"native ({engine.kernel} SHAP kernel)"
         clock = "wall"
         runs = [(label, result)]
     else:

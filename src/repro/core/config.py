@@ -16,14 +16,9 @@ class ObsConfig:
             strategy and the simulated kernel loop.  Off by default —
             every span costs a clock read and an allocation; disabled
             tracing is a shared no-op context manager.
-        metrics: fold per-batch traffic counters into the run's metrics
-            registry (cheap: a few counter increments per batch).
-        max_spans: tracer capacity backstop for long runs.
     """
 
     tracing: bool = False
-    metrics: bool = True
-    max_spans: int = 100_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,7 @@ class TahoeConfig:
             the forest's visit counts (Algorithm 1 line 16), so the next
             conversion reflects the inference distribution.
         edge_count_decay: blending factor for the above.
-        obs: observability toggles (tracing / metrics collection).
+        obs: observability toggles (span tracing).
     """
 
     t_nodes: int = 4

@@ -184,9 +184,8 @@ class PipelineEngine(EngineBase):
     ) -> None:
         self.spec = spec
         self.config = config if config is not None else TahoeConfig()
-        obs = self.config.obs
-        self.recorder = recorder if recorder is not None else RunRecorder(
-            tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
+        self.recorder = (
+            recorder if recorder is not None else RunRecorder(tracing=self.config.obs.tracing)
         )
         self.hardware = hardware or self._default_hardware(spec)
         self.layout_cache = layout_cache

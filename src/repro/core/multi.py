@@ -92,9 +92,8 @@ class MultiGPUTahoeEngine(EngineBase):
         if n_gpus < 1:
             raise ValueError("n_gpus must be >= 1")
         self.config = config if config is not None else TahoeConfig()
-        obs = self.config.obs
-        self.recorder = recorder if recorder is not None else RunRecorder(
-            tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
+        self.recorder = (
+            recorder if recorder is not None else RunRecorder(tracing=self.config.obs.tracing)
         )
         self.n_gpus = n_gpus
         self.spec = spec

@@ -18,13 +18,14 @@ Execution scheme (Py-Boost's ``EnsembleInference`` trick, adapted):
   Leaves become self-loops (both children point at the leaf itself), so
   finished lanes need no masking — they just gather themselves until
   the loop ends.
-* **Traversal** — the compiled C kernel (:mod:`repro.core.ckernel`,
-  ``kernel="c"``) walks each (sample, tree) pair to its leaf.  Without a
-  C compiler the vectorised numpy kernel serves instead: all
-  ``(sample, tree)`` cursors advance one level per step with
-  fancy-indexed gathers over the flat arrays (level-synchronous).  The
-  pure-Python scalar kernel (``kernel="scalar"``) is the reference both
-  are tested against.
+* **Traversal** — the compiled C kernel (:mod:`repro.core.ckernel`)
+  walks each (sample, tree) pair to its leaf.  Without a C compiler the
+  vectorised numpy kernel serves instead: all ``(sample, tree)`` cursors
+  advance one level per step with fancy-indexed gathers over the flat
+  arrays (level-synchronous).  The environment makes the choice, as it
+  does for :func:`~repro.explain.kernel.compute_shap`.  The pure-Python
+  scalar kernel (:func:`_traverse_scalar`) is the reference both are
+  tested against.
 * **Reduction** — per-tree leaf values accumulate into a float64
   per-sample sum and run through the exact same
   :func:`~repro.strategies.base.finalize_predictions` the simulated
@@ -47,13 +48,10 @@ import numpy as np
 
 from repro.core import ckernel
 from repro.core.base import TIME_DOMAIN_WALL
-from repro.core.cache import LayoutCache
-from repro.core.config import TahoeConfig
 from repro.core.engine import PipelineEngine
 from repro.formats.layout import ForestLayout
 from repro.gpusim.counters import TrafficCounters
 from repro.gpusim.specs import GPUSpec
-from repro.obs.recorder import RunRecorder
 from repro.obs.trace import span
 from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.native import (
@@ -65,39 +63,15 @@ from repro.perfmodel.native import (
 from repro.perfmodel.notation import HardwareParams
 from repro.strategies import ExplainStrategyResult, StrategyResult
 from repro.strategies.base import finalize_predictions
-from repro.trees.forest import Forest
-from repro.trees.tree import LEAF
+from repro.trees.tree import LEAF, category_member
 
-__all__ = [
-    "NativeEngine",
-    "NativeForest",
-    "available_kernels",
-    "flatten_native",
-]
+__all__ = ["NativeEngine", "NativeForest", "flatten_native"]
 
 #: Target (sample, tree) lanes per vectorised traversal chunk — bounds
 #: the working set of the gather matrices (~4 MB of int32 per array at
 #: this size) so huge batches stay cache-friendly instead of allocating
 #: gigabyte cursor matrices.
 _TARGET_LANES = 1 << 20
-
-
-def _resolve_kernel(kernel: str | None) -> str:
-    if kernel is None:
-        return "c" if ckernel.available() else "numpy"
-    if kernel not in ("c", "numpy", "scalar"):
-        raise ValueError(f"unknown native kernel {kernel!r} (need c, numpy, or scalar)")
-    if kernel == "c" and not ckernel.available():
-        raise ValueError(
-            f"kernel='c' requested but the C kernels are unavailable ({ckernel.status}); "
-            "use kernel='numpy'"
-        )
-    return kernel
-
-
-def available_kernels() -> tuple[str, ...]:
-    """Kernels this process can run (``c`` only when the library loaded)."""
-    return ("c", "numpy", "scalar") if ckernel.available() else ("numpy", "scalar")
 
 
 @dataclass
@@ -255,7 +229,7 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
 def _traverse_scalar(X: np.ndarray, flat: NativeForest, out: np.ndarray) -> np.ndarray:
     """Reference scalar kernel: one (sample, tree) walk at a time.
 
-    Plain pure-Python loops, run by ``kernel="scalar"``: the reference
+    Plain pure-Python loops, called directly by the tests: the reference
     that ``repro_traverse`` in ``ckernel.c`` follows line for line.
     ``out`` is ``(n_samples, n_groups)``; leaf values accumulate in
     float64 in tree order.
@@ -346,17 +320,9 @@ def _traverse_numpy(X: np.ndarray, flat: NativeForest, out: np.ndarray) -> np.nd
                 co = flat.cat_offset.take(cur)
                 cat = co >= 0
                 if cat.any():
-                    v = vals[cat].astype(np.float64)
-                    code = np.where(
-                        np.isfinite(v) & (v >= 0), v, -1.0
-                    ).astype(np.int64)
-                    word = code >> 5
-                    valid = (code >= 0) & (
-                        word < flat.cat_count.take(cur[cat]).astype(np.int64)
+                    go[cat] = category_member(
+                        vals[cat], co[cat], flat.cat_count.take(cur[cat]), flat.cat_bits
                     )
-                    slot = co[cat] + np.where(valid, word, 0)
-                    bits = flat.cat_bits.take(slot).astype(np.int64)
-                    go[cat] = valid & (((bits >> (code & 31)) & 1) == 1)
             if has_nan:
                 missing = np.isnan(vals)
                 if missing.any():
@@ -441,9 +407,7 @@ class NativeEngine(PipelineEngine):
     stage 5 ("copy to device") builds the flat native arrays instead of
     the simulated GPU image, and every batch runs the host kernel.
 
-    Constructor arguments are :class:`~repro.core.engine.PipelineEngine`'s
-    plus ``kernel`` — ``"c"`` / ``"numpy"`` / ``"scalar"``; when omitted,
-    ``"c"`` if the compiled library loaded, ``"numpy"`` otherwise.
+    Constructor arguments are :class:`~repro.core.engine.PipelineEngine`'s.
     ``spec`` and ``hardware`` feed the simulated-GPU half of the hardware
     ranking (the §6 candidate the native target is compared to).
     """
@@ -451,53 +415,11 @@ class NativeEngine(PipelineEngine):
     engine_name = "native"
     time_domain = TIME_DOMAIN_WALL
 
-    def __init__(
-        self,
-        forest: Forest,
-        spec: GPUSpec,
-        *,
-        config: TahoeConfig | None = None,
-        hardware: HardwareParams | None = None,
-        recorder: RunRecorder | None = None,
-        layout_cache: LayoutCache | None = None,
-        kernel: str | None = None,
-    ) -> None:
-        self.kernel = _resolve_kernel(kernel)
-        super().__init__(
-            forest,
-            spec,
-            config=config,
-            hardware=hardware,
-            recorder=recorder,
-            layout_cache=layout_cache,
-        )
-
-    @classmethod
-    def from_layout(
-        cls,
-        layout: ForestLayout,
-        spec: GPUSpec,
-        *,
-        cache_key: tuple | None = None,
-        config: TahoeConfig | None = None,
-        hardware: HardwareParams | None = None,
-        recorder: RunRecorder | None = None,
-        layout_cache: LayoutCache | None = None,
-        kernel: str | None = None,
-    ) -> "NativeEngine":
-        """Adopt an already-converted layout (tahoe *or* fil format)."""
-        kernel = _resolve_kernel(kernel)
-        engine = super().from_layout(
-            layout,
-            spec,
-            cache_key=cache_key,
-            config=config,
-            hardware=hardware,
-            recorder=recorder,
-            layout_cache=layout_cache,
-        )
-        engine.kernel = kernel
-        return engine
+    @property
+    def kernel(self) -> str:
+        """The traversal kernel batches run on: ``"c"`` when the compiled
+        library loaded, ``"numpy"`` otherwise."""
+        return "c" if ckernel.available() else "numpy"
 
     # Hooks of the skeleton.  The hardware default is looked up in this
     # module, at call time, so it can be traced apart from Tahoe's.
@@ -518,30 +440,23 @@ class NativeEngine(PipelineEngine):
         self._ranked_cache: dict[int, list] = {}
 
     def _report_meta(self) -> dict:
-        return {
-            "time_domain": TIME_DOMAIN_WALL,
-            "kernel": self.kernel,
-            "shap_kernel": "c" if ckernel.available() else "numpy",
-        }
+        return {"time_domain": TIME_DOMAIN_WALL, "kernel": self.kernel}
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _leaf_sums(self, X: np.ndarray) -> np.ndarray:
-        """Per-sample float64 leaf-value sums via the selected kernel.
+        """Per-sample float64 leaf-value sums via :attr:`kernel`.
 
         Returns ``(n,)`` for single-output forests and ``(n, n_classes)``
         for multiclass ones (what :func:`finalize_predictions` expects).
         """
         flat = self.flat
-        if self.kernel == "numpy":
-            shape = (X.shape[0], flat.n_groups) if flat.n_groups > 1 else X.shape[0]
-            return _traverse_numpy(X, flat, np.empty(shape, dtype=np.float64))
-        if self.kernel == "c":
+        if ckernel.available():
             out = ckernel.traverse(flat, X)
-        else:
-            out = _traverse_scalar(X, flat, np.zeros((X.shape[0], flat.n_groups)))
-        return out if flat.n_groups > 1 else out[:, 0]
+            return out if flat.n_groups > 1 else out[:, 0]
+        shape = (X.shape[0], flat.n_groups) if flat.n_groups > 1 else X.shape[0]
+        return _traverse_numpy(X, flat, np.empty(shape, dtype=np.float64))
 
     def _run_flat(self, X: np.ndarray) -> tuple[np.ndarray, NativeBreakdown]:
         """Traverse + reduce one batch, wall-clock timed per phase."""
@@ -557,18 +472,16 @@ class NativeEngine(PipelineEngine):
     @property
     def cost_model(self) -> NativeCostModel:
         """The calibrated wall-clock cost model (probed lazily, once)."""
-        if self._cost_model is None or self._cost_model.kernel != self.kernel:
-            # The vectorised kernels amortise dispatch over large
-            # batches, so probe well into that regime; the pure-Python
-            # scalar kernel is too slow for a 1024-row probe.
-            probes = (16, 256) if self.kernel == "scalar" else (64, 1024)
+        if self._cost_model is None:
+            # The kernels amortise dispatch over large batches, so probe
+            # well into that regime.
             self._cost_model = calibrate_native_model(
                 self._leaf_sums,
                 n_trees=self.forest.n_trees,
                 depth=self.flat.mean_depth,
                 n_attributes=self.forest.n_attributes,
                 kernel=self.kernel,
-                probe_sizes=probes,
+                probe_sizes=(64, 1024),
             )
             self._ranked_cache.clear()
         return self._cost_model

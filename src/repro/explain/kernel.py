@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core import ckernel
 from repro.explain.paths import PathSet
+from repro.trees.tree import category_member
 
 __all__ = ["compute_shap", "shap_check_efficiency"]
 
@@ -46,15 +47,9 @@ def _edge_satisfaction(ps: PathSet, X: np.ndarray) -> np.ndarray:
     go = (v < ps.edge_threshold[:, None]) ^ ps.edge_flip[:, None]
     cat = ps.edge_cat_offset >= 0
     if cat.any():
-        vv = v[cat].astype(np.float64)
-        code = np.where(np.isfinite(vv) & (vv >= 0), vv, -1.0).astype(np.int64)
-        word = code >> 5
-        valid = (code >= 0) & (
-            word < ps.edge_cat_count[cat][:, None].astype(np.int64)
+        member = category_member(
+            v[cat], ps.edge_cat_offset[cat][:, None], ps.edge_cat_count[cat][:, None], ps.cat_bits
         )
-        slot = ps.edge_cat_offset[cat][:, None] + np.where(valid, word, 0)
-        bits = ps.cat_bits[slot].astype(np.int64)
-        member = valid & (((bits >> (code & 31)) & 1) == 1)
         go[cat] = member ^ ps.edge_flip[cat][:, None]
     missing = np.isnan(v)
     go = np.where(missing, ps.edge_default_left[:, None], go)

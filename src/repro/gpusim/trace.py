@@ -50,6 +50,7 @@ from repro.gpusim.memory import (
 )
 from repro.gpusim.specs import GPUSpec
 from repro.obs.trace import span
+from repro.trees.tree import category_member
 
 __all__ = [
     "FlatForest",
@@ -409,17 +410,9 @@ def _traverse_chunk(
                 cat = decide & (flat.cat_offset[idx] >= 0)
                 if cat.any():
                     cidx = idx[cat]
-                    v = vals[cat].astype(np.float64)
-                    code = np.where(
-                        np.isfinite(v) & (v >= 0), v, -1.0
-                    ).astype(np.int64)
-                    word = code >> 5
-                    valid = (code >= 0) & (
-                        word < flat.cat_count[cidx].astype(np.int64)
+                    member = category_member(
+                        vals[cat], flat.cat_offset[cidx], flat.cat_count[cidx], flat.cat_bits
                     )
-                    slot = flat.cat_offset[cidx] + np.where(valid, word, 0)
-                    bits = flat.cat_bits[slot].astype(np.int64)
-                    member = valid & (((bits >> (code & 31)) & 1) == 1)
                     go_left[cat] = member ^ flat.flip[cidx]
             go_left = np.where(missing, flat.default_left[idx], go_left)
             nxt = np.where(go_left, flat.left[idx], flat.right[idx])

@@ -36,7 +36,8 @@ def sniff_format(path: str | Path) -> str:
     """
     path = Path(path)
     try:
-        head = path.open("rb").read(len(ARTIFACT_MAGIC))
+        with path.open("rb") as fh:
+            head = fh.read(len(ARTIFACT_MAGIC))
     except OSError as exc:
         raise ModelImportError(f"cannot read model file {path}: {exc}") from exc
     if head == ARTIFACT_MAGIC:

@@ -72,16 +72,16 @@ class _StrategyResiduals:
         self.with_margin += other.with_margin
 
     def summary(self) -> dict:
-        out = {
+        p50, p95 = self.abs_rel_error.quantiles((0.5, 0.95))
+        return {
             "n": self.n,
             "mean_ratio": self.sum_ratio / self.n if self.n else 0.0,
             "mean_abs_rel_error": self.sum_abs_rel_error / self.n if self.n else 0.0,
-            "p50_abs_rel_error": self.abs_rel_error.quantile(0.5),
-            "p95_abs_rel_error": self.abs_rel_error.quantile(0.95),
+            "p50_abs_rel_error": p50,
+            "p95_abs_rel_error": p95,
             "ranking_at_risk": self.at_risk,
             "decisions_with_margin": self.with_margin,
         }
-        return out
 
 
 class CalibrationTracker:

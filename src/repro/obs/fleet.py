@@ -1,4 +1,4 @@
-"""Fleet-level observability: merging per-shard telemetry honestly.
+"""Fleet-level observability: merging per-shard telemetry exactly.
 
 A fleet run produces one :class:`~repro.obs.report.RunReport` per shard.
 Folding them into one fleet report has a trap the naive approach falls
@@ -6,18 +6,16 @@ into: per-shard ``calibration`` sections each carry residual statistics
 *per hardware target* (or per strategy), and concatenating the sections
 — or summing their headline fractions — double-counts every target that
 appears on more than one shard and mis-weights the drift grade.  The
-merge has to happen **per target key**: sum the counts, weight the
-means by ``n``, and only then recompute the at-risk fraction and the
-drift verdict over the union.
+merge has to happen **per target key**, over the live trackers, where
+the streaming residual histograms merge losslessly.
 
-:func:`merge_calibration_trackers` does this exactly for live
-:class:`~repro.obs.drift.CalibrationTracker` objects (streaming
-histograms merge losslessly); :func:`merge_calibration_summaries` does
-it for already-serialised summary dicts, where the per-target quantiles
-can only be approximated by an ``n``-weighted average (flagged in the
-output).  :func:`merge_run_reports` builds the combined fleet report:
-records concatenated with shard-disambiguated indices, metrics summed
-where they are counters, and the calibration section merged per target.
+:func:`merge_calibration_trackers` does exactly that for
+:class:`~repro.obs.drift.CalibrationTracker` objects.
+:func:`merge_run_reports` builds the combined fleet report's records:
+batch and decision records concatenated with shard-disambiguated
+indices, plus per-shard metadata.  Merged metrics come from folding the
+live :class:`~repro.obs.metrics.MetricsRegistry` objects, never from
+serialised summaries, whose quantiles cannot be combined.
 """
 
 from __future__ import annotations
@@ -25,122 +23,22 @@ from __future__ import annotations
 from repro.obs.drift import CalibrationTracker
 from repro.obs.report import RunReport
 
-__all__ = [
-    "merge_calibration_summaries",
-    "merge_calibration_trackers",
-    "merge_run_reports",
-]
+__all__ = ["merge_calibration_trackers", "merge_run_reports"]
 
 
-def merge_calibration_trackers(
-    trackers, *, ranking_risk_threshold: float | None = None
-) -> CalibrationTracker:
-    """Fold live trackers into one, per target key (lossless)."""
+def merge_calibration_trackers(trackers) -> CalibrationTracker:
+    """Fold live trackers into one, per target key (lossless).
+
+    ``None`` entries are skipped; the first tracker's risk threshold
+    carries over to the merged one.
+    """
     trackers = [t for t in trackers if t is not None]
-    if ranking_risk_threshold is None:
-        ranking_risk_threshold = (
-            trackers[0].ranking_risk_threshold if trackers else 0.25
-        )
-    merged = CalibrationTracker(
-        ranking_risk_threshold=ranking_risk_threshold, warn=False
-    )
+    merged = CalibrationTracker(warn=False)
+    if trackers:
+        merged.ranking_risk_threshold = trackers[0].ranking_risk_threshold
     for tracker in trackers:
         merged.merge(tracker)
     return merged
-
-
-def merge_calibration_summaries(
-    summaries, *, min_decisions: int = 20
-) -> dict:
-    """Merge serialised calibration summaries per target key.
-
-    Same shape as :meth:`CalibrationTracker.summary`, built by summing
-    per-target counts and ``n``-weighting the per-target means; the
-    at-risk fraction and the drift grade are recomputed over the union,
-    never summed.  Per-target quantiles cannot be reconstructed from
-    summaries, so they are the ``n``-weighted average of the shard
-    quantiles (``"quantiles_approximate": True`` marks this).
-    """
-    per: dict[str, dict] = {}
-    threshold = None
-    for summary in summaries:
-        if not summary:
-            continue
-        if threshold is None:
-            threshold = summary.get("ranking_risk_threshold")
-        for name, row in summary.get("per_strategy", {}).items():
-            agg = per.setdefault(
-                name,
-                {
-                    "n": 0,
-                    "sum_ratio": 0.0,
-                    "sum_err": 0.0,
-                    "sum_p50": 0.0,
-                    "sum_p95": 0.0,
-                    "at_risk": 0,
-                    "with_margin": 0,
-                },
-            )
-            n = int(row.get("n", 0))
-            agg["n"] += n
-            agg["sum_ratio"] += row.get("mean_ratio", 0.0) * n
-            agg["sum_err"] += row.get("mean_abs_rel_error", 0.0) * n
-            agg["sum_p50"] += row.get("p50_abs_rel_error", 0.0) * n
-            agg["sum_p95"] += row.get("p95_abs_rel_error", 0.0) * n
-            agg["at_risk"] += int(row.get("ranking_at_risk", 0))
-            agg["with_margin"] += int(row.get("decisions_with_margin", 0))
-    threshold = 0.25 if threshold is None else threshold
-    per_strategy = {}
-    for name, agg in sorted(per.items()):
-        n = agg["n"]
-        per_strategy[name] = {
-            "n": n,
-            "mean_ratio": agg["sum_ratio"] / n if n else 0.0,
-            "mean_abs_rel_error": agg["sum_err"] / n if n else 0.0,
-            "p50_abs_rel_error": agg["sum_p50"] / n if n else 0.0,
-            "p95_abs_rel_error": agg["sum_p95"] / n if n else 0.0,
-            "ranking_at_risk": agg["at_risk"],
-            "decisions_with_margin": agg["with_margin"],
-        }
-    n_decisions = sum(row["n"] for row in per_strategy.values())
-    with_margin = sum(row["decisions_with_margin"] for row in per_strategy.values())
-    at_risk = sum(row["ranking_at_risk"] for row in per_strategy.values())
-    fraction = (at_risk / with_margin) if with_margin else 0.0
-    return {
-        "n_decisions": n_decisions,
-        "ranking_at_risk_fraction": fraction,
-        "ranking_risk_threshold": threshold,
-        "drifted": n_decisions >= min_decisions and fraction > threshold,
-        "quantiles_approximate": True,
-        "per_strategy": per_strategy,
-    }
-
-
-def _merge_metric_sections(snapshots) -> dict:
-    """Sum counters, keep last gauges, and combine histogram summaries
-    (count/sum aggregate; quantiles are per-shard, so the merged view
-    keeps count/sum/min/max only)."""
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = value
-        for name, summary in snap.get("histograms", {}).items():
-            agg = histograms.setdefault(
-                name, {"count": 0, "sum": 0.0, "min": None, "max": None}
-            )
-            agg["count"] += summary.get("count", 0)
-            agg["sum"] += summary.get("sum", 0.0)
-            for key, pick in (("min", min), ("max", max)):
-                value = summary.get(key)
-                if value is not None:
-                    agg[key] = value if agg[key] is None else pick(agg[key], value)
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 def merge_run_reports(reports: list[RunReport], **meta) -> RunReport:
@@ -149,10 +47,12 @@ def merge_run_reports(reports: list[RunReport], **meta) -> RunReport:
     Batch and decision records are concatenated with globally re-indexed
     batch indices (per-shard indices collide); conversions concatenate;
     ``n_samples`` sums and ``total_time`` takes the slowest shard (the
-    fleet finishes when its last shard does).  The calibration section
-    goes through :func:`merge_calibration_summaries` — per target key,
-    not concatenated.  Per-shard metadata survives under
-    ``meta["shards"]``.
+    fleet finishes when its last shard does).  Per-shard metadata
+    survives under ``meta["shards"]``.  The ``metrics`` and
+    ``calibration`` sections are left empty: serialised summaries cannot
+    be merged exactly, so the caller fills them from the live registries
+    (:meth:`~repro.obs.metrics.MetricsRegistry.merge`) and trackers
+    (:func:`merge_calibration_trackers`).
     """
     reports = [r for r in reports if r is not None]
     if not reports:
@@ -181,10 +81,6 @@ def merge_run_reports(reports: list[RunReport], **meta) -> RunReport:
             )
             merged.decisions.append(clone)
         offset += max(len(report.batches), len(report.decisions))
-    merged.metrics = _merge_metric_sections([r.metrics for r in reports])
-    merged.calibration = merge_calibration_summaries(
-        [r.calibration for r in reports]
-    )
     merged.meta = dict(meta)
     merged.meta["shards"] = [
         {"engine": r.engine, "gpu": r.gpu, "meta": r.meta} for r in reports

@@ -3,8 +3,8 @@
 One recorder accompanies one engine.  It owns a tracer and a metrics
 registry, accumulates conversion / selection / batch records as the
 engine works, and assembles the :class:`~repro.obs.report.RunReport`
-artifact on demand.  With both tracing and metrics disabled it degrades
-to a handful of cheap list appends, so engines can keep it wired in
+artifact on demand.  With tracing disabled it costs a handful of list
+appends and counter increments per batch, so engines keep it wired in
 unconditionally.
 """
 
@@ -30,19 +30,11 @@ class RunRecorder:
     Args:
         tracing: record spans (off by default: spans cost a clock read
             and an allocation each; everything else stays on).
-        metrics: fold per-batch traffic into the metrics registry.
-        max_spans: tracer capacity backstop.
     """
 
-    def __init__(
-        self,
-        tracing: bool = False,
-        metrics: bool = True,
-        max_spans: int = 100_000,
-    ) -> None:
-        self.tracer = Tracer(enabled=tracing, max_spans=max_spans)
+    def __init__(self, tracing: bool = False) -> None:
+        self.tracer = Tracer(enabled=tracing)
         self.metrics = MetricsRegistry()
-        self.metrics_enabled = metrics
         self.calibration = CalibrationTracker()
         self.conversions: list[ConversionRecord] = []
         self.decisions: list[SelectorDecision] = []
@@ -119,8 +111,7 @@ class RunRecorder:
         self.metrics.counter("batches_total").inc()
         self.metrics.counter("samples_total").inc(record.batch_size)
         self.metrics.histogram("batch_time_seconds").observe(record.simulated_time)
-        if self.metrics_enabled:
-            self.metrics.record_traffic(result.counters)
+        self.metrics.record_traffic(result.counters)
         return record
 
     # ------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Bounded log-bucketed streaming histograms.
 
-The raw-observation :class:`~repro.obs.metrics.Histogram` the obs layer
-shipped with keeps every sample — exact quantiles, but O(n) memory and an
-O(n log n) sort per ``quantile()`` call.  That is fine for a benchmark of
-a few thousand batches and fatal for a serving tier observing millions of
-request latencies.  :class:`StreamingHistogram` is the serving-grade
-replacement:
+A serving tier observes millions of request latencies, so it cannot keep
+every sample: exact quantiles would cost O(n) memory and a sort per
+read.  :class:`StreamingHistogram` is the sketch every obs histogram is
+built on (:class:`~repro.obs.metrics.Histogram` is this class plus a
+name and a help string):
 
 * **Fixed memory.**  Values land in geometrically spaced buckets
   (``growth`` ratio between consecutive bounds) spanning ``[lo, hi]``,
@@ -27,7 +26,8 @@ replacement:
 Values at or below ``lo`` (zeros, negatives) fall into the underflow
 bucket and quantiles landing there report the exact observed minimum;
 values above ``hi`` symmetrically report the exact maximum.  ``min`` /
-``max`` / ``sum`` / ``count`` are always tracked exactly.
+``max`` / ``sum`` / ``count`` are always tracked exactly.  An empty
+histogram answers 0 for ``min``, ``max``, ``mean`` and every quantile.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class StreamingHistogram:
         "overflow",
         "count",
         "total",
-        "min",
-        "max",
+        "_min",
+        "_max",
     )
 
     def __init__(self, growth: float = 1.04, lo: float = 1e-9, hi: float = 1e9) -> None:
@@ -83,8 +83,8 @@ class StreamingHistogram:
         self.overflow = 0
         self.count = 0
         self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        self._min = math.inf
+        self._max = -math.inf
 
     # ------------------------------------------------------------------
     # Recording
@@ -99,10 +99,10 @@ class StreamingHistogram:
         value = float(value)
         self.count += count
         self.total += value * count
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
         if value <= self.lo:
             self.underflow += count
         elif value > self.hi:
@@ -123,53 +123,88 @@ class StreamingHistogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    @property
+    def min(self) -> float:
+        """Smallest observation (0 when empty)."""
+        return self._min if self.count else 0.0
+
+    @property
+    def max(self) -> float:
+        """Largest observation (0 when empty)."""
+        return self._max if self.count else 0.0
+
     def _bound(self, index: int) -> float:
         """Upper bound of bucket ``index`` (0-based)."""
         return self.lo * math.exp((index + 1) * self._log_growth)
 
     def quantile(self, q: float) -> float:
-        """Nearest-rank q-quantile estimate; 0 when empty.
+        """Nearest-rank q-quantile estimate; 0 when empty (see :meth:`quantiles`)."""
+        return self.quantiles((q,))[0]
 
-        The answer is the geometric midpoint of the bucket containing
+    def quantiles(self, qs) -> list[float]:
+        """Nearest-rank estimates for every ``q`` in ``qs``, in one walk.
+
+        Each answer is the geometric midpoint of the bucket containing
         the ``ceil(q * count)``-th smallest observation, clamped into
-        the exact observed ``[min, max]``.
+        the exact observed ``[min, max]``; ``q <= 0`` answers the
+        minimum, ``q >= 1`` the maximum, and an empty histogram 0.  The
+        ranks are sorted once, so the cumulative walk over the buckets
+        happens once however many quantiles are asked for.
         """
+        out = [0.0] * len(qs)
         if self.count == 0:
-            return 0.0
-        if q <= 0.0:
-            return self.min
-        if q >= 1.0:
-            return self.max
-        rank = max(1, math.ceil(q * self.count))
+            return out
+        smallest, largest = self._min, self._max
+        pending = []
+        for i, q in enumerate(qs):
+            if q <= 0.0:
+                out[i] = smallest
+            elif q >= 1.0:
+                out[i] = largest
+            else:
+                pending.append((max(1, math.ceil(q * self.count)), i))
+        pending.sort()
+        n, k = len(pending), 0
         cumulative = self.underflow
-        if rank <= cumulative:
-            # Everything down here is <= lo; min is the best estimate.
-            return self.min
-        counts = self._counts
-        for index in range(self._first, len(counts)):
-            bucket = counts[index]
-            if not bucket:
-                continue
-            cumulative += bucket
-            if rank <= cumulative:
-                mid = self.lo * math.exp((index + 0.5) * self._log_growth)
-                return min(self.max, max(self.min, mid))
-        return self.max  # rank fell in the overflow bucket
+        # Ranks down in the underflow bucket (values <= lo) answer min.
+        while k < n and pending[k][0] <= cumulative:
+            out[pending[k][1]] = smallest
+            k += 1
+        if k < n:
+            counts = self._counts
+            for index in range(self._first, len(counts)):
+                bucket = counts[index]
+                if not bucket:
+                    continue
+                cumulative += bucket
+                if pending[k][0] <= cumulative:
+                    mid = self.lo * math.exp((index + 0.5) * self._log_growth)
+                    mid = min(largest, max(smallest, mid))
+                    while k < n and pending[k][0] <= cumulative:
+                        out[pending[k][1]] = mid
+                        k += 1
+                    if k == n:
+                        break
+        # Ranks past every regular bucket fell in the overflow bucket.
+        for _, i in pending[k:]:
+            out[i] = largest
+        return out
 
     def summary(self) -> dict:
-        """JSON-ready summary matching :meth:`Histogram.summary`."""
+        """JSON-ready count/sum/mean/min/max and p50/p95/p99/p999."""
         if self.count == 0:
             return {"count": 0, "sum": 0.0}
+        p50, p95, p99, p999 = self.quantiles((0.5, 0.95, 0.99, 0.999))
         return {
             "count": self.count,
             "sum": self.total,
             "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.quantile(0.5),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-            "p999": self.quantile(0.999),
+            "min": self._min,
+            "max": self._max,
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
+            "p999": p999,
         }
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
@@ -215,6 +250,6 @@ class StreamingHistogram:
         self.overflow += other.overflow
         self.count += other.count
         self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
+        self._min = min(self._min, other._min)
+        self._max = max(self._max, other._max)
         return self

@@ -68,8 +68,8 @@ class NativeCostModel:
     Attributes:
         t_lane_step: seconds per (sample, tree, level) lane step.
         t_fixed: per-call overhead (dispatch + reduction), seconds.
-        kernel: which kernel was calibrated (``c`` / ``numpy`` /
-            ``scalar``) — predictions only transfer within one kernel.
+        kernel: which kernel was calibrated (``c`` or ``numpy``) —
+            predictions only transfer within one kernel.
     """
 
     t_lane_step: float

@@ -56,7 +56,7 @@ from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.gpusim.specs import GPUSpec
 from repro.modelstore.registry import ModelRegistry, ModelVersion
-from repro.obs.drift import CalibrationTracker
+from repro.obs.fleet import merge_calibration_trackers
 from repro.obs.recorder import RunRecorder
 from repro.obs.report import RunReport
 from repro.perfmodel.microbench import measure_hardware_parameters
@@ -84,13 +84,8 @@ MAX_REPORT_TRACES = 2000
 
 def quantile_summary(hist) -> dict:
     """The latency quantiles a serving summary reports for ``hist``."""
-    return {
-        "p50": hist.quantile(0.5),
-        "p95": hist.quantile(0.95),
-        "p99": hist.quantile(0.99),
-        "mean": hist.mean,
-        "max": hist.max,
-    }
+    p50, p95, p99 = hist.quantiles((0.5, 0.95, 0.99))
+    return {"p50": p50, "p95": p95, "p99": p99, "mean": hist.mean, "max": hist.max}
 
 
 def trace_meta(responses: list[InferenceResponse]) -> dict:
@@ -821,9 +816,7 @@ class TahoeServer:
         )
         # The selector decisions happen inside each replica's own
         # recorder; fold their calibration residuals into one pool view.
-        merged = CalibrationTracker(warn=False)
-        merged.merge(self.recorder.calibration)
-        for engine in self.engines:
-            merged.merge(engine.recorder.calibration)
-        report.calibration = merged.summary()
+        report.calibration = merge_calibration_trackers(
+            [self.recorder.calibration] + [e.recorder.calibration for e in self.engines]
+        ).summary()
         return report

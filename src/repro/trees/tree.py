@@ -40,10 +40,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DecisionTree", "LEAF"]
+__all__ = ["DecisionTree", "LEAF", "category_member"]
 
 #: Sentinel used in ``feature``/``left``/``right`` for leaves.
 LEAF = -1
+
+
+def category_member(vals, offset, count, bits: np.ndarray) -> np.ndarray:
+    """Bitset membership of the category codes ``int(vals)``.
+
+    ``offset`` / ``count`` (broadcast against ``vals``) locate each
+    code's bitset: ``count`` uint32 words of ``bits`` from ``offset``.
+    NaN, infinite, negative and past-the-bitset codes are non-members,
+    and the range is checked in float64 *before* the int64 cast, so a
+    huge code never reaches a platform-defined conversion — the rule
+    the C kernel and the scalar reference follow.
+    """
+    v = np.asarray(vals, dtype=np.float64)
+    valid = np.isfinite(v) & (v >= 0) & (v < 32 * np.asarray(count, dtype=np.int64))
+    code = np.where(valid, v, 0.0).astype(np.int64)
+    words = bits.take(offset + (code >> 5))
+    return valid & (((words.astype(np.int64) >> (code & 31)) & 1) == 1)
 
 
 @dataclass
@@ -125,13 +142,9 @@ class DecisionTree:
         routing: only codes present in the stored set go left).
         """
         nodes = np.asarray(nodes)
-        vals = np.asarray(vals, dtype=np.float64)
-        code = np.where(np.isfinite(vals) & (vals >= 0), vals, -1.0).astype(np.int64)
-        word = code >> 5
-        valid = (code >= 0) & (word < self.cat_count[nodes].astype(np.int64))
-        slot = self.cat_offset[nodes] + np.where(valid, word, 0)
-        bits = self.cat_bits[slot].astype(np.int64)
-        return valid & (((bits >> (code & 31)) & 1) == 1)
+        return category_member(
+            vals, self.cat_offset[nodes], self.cat_count[nodes], self.cat_bits
+        )
 
     def depth(self) -> int:
         """Depth of the tree: number of edges on the longest root→leaf path."""

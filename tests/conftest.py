@@ -24,12 +24,30 @@ def pytest_addoption(parser):
     )
 
 
+def _disable_ckernel(setattr):
+    """Make the kernel loader behave as if no C compiler were installed;
+    ``setattr`` is the builtin (whole session) or ``monkeypatch.setattr``."""
+    from repro.core import ckernel
+
+    setattr(ckernel, "_compiler", lambda: None)
+    setattr(ckernel, "_lib", ckernel._UNSET)
+
+
 def pytest_configure(config):
     if config.getoption("--no-ckernel"):
-        from repro.core import ckernel
+        _disable_ckernel(setattr)
 
-        ckernel._compiler = lambda: None
-        ckernel._lib = ckernel._UNSET
+
+@pytest.fixture
+def no_ckernel(monkeypatch):
+    """The numpy fallback for one test: the ``--no-ckernel`` patch, undone
+    afterwards."""
+    from repro.core import ckernel
+
+    _disable_ckernel(monkeypatch.setattr)
+    monkeypatch.setattr(ckernel, "status", None)
+    assert ckernel.library() is None
+    assert "no C compiler" in ckernel.status
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FILEngine, MultiGPUTahoeEngine, TahoeEngine, ckernel
-from repro.core.native import NativeEngine, available_kernels, flatten_native
+from repro.core.native import NativeEngine, _traverse_numpy, _traverse_scalar, flatten_native
 from repro.explain import kernel as shap_kernel
 from repro.explain.paths import build_path_set, path_set_for_layout
 from repro.formats import build_adaptive_layout
@@ -124,8 +124,8 @@ def _forest_and_rows():
     return forest, X
 
 
-def _predictions(forest, X, kernel):
-    return NativeEngine(forest, SPEC, kernel=kernel).predict(X).predictions
+def _predictions(forest, X):
+    return NativeEngine(forest, SPEC).predict(X).predictions
 
 
 @needs_c
@@ -134,15 +134,18 @@ class TestPredictDifferential:
     @settings(max_examples=60, deadline=None)
     def test_c_numpy_scalar_agree(self, case):
         forest, X = case
-        c = _predictions(forest, X, "c")
-        assert np.array_equal(c, _predictions(forest, X, "numpy"))
-        assert np.array_equal(c, _predictions(forest, X, "scalar"))
+        flat = NativeEngine(forest, SPEC).flat
+        c = ckernel.traverse(flat, X)
+        shape = (X.shape[0], flat.n_groups)
+        assert np.array_equal(c, _traverse_scalar(X, flat, np.zeros(shape)))
+        numpy = _traverse_numpy(X, flat, np.empty(shape if flat.n_groups > 1 else shape[0]))
+        assert np.array_equal(c if flat.n_groups > 1 else c[:, 0], numpy)
 
     @given(cases())
     @settings(max_examples=30, deadline=None)
     def test_c_matches_simulators(self, case):
         forest, X = case
-        c = _predictions(forest, X, "c")
+        c = _predictions(forest, X)
         assert np.array_equal(c, TahoeEngine(forest, SPEC).predict(X).predictions)
         assert np.array_equal(c, FILEngine(forest, SPEC).predict(X).predictions)
 
@@ -151,7 +154,7 @@ class TestPredictDifferential:
     def test_wide_rows_read_only_their_own_columns(self, case):
         forest, X = case
         wide = np.concatenate([X, np.full((X.shape[0], 3), np.nan, np.float32)], axis=1)
-        assert np.array_equal(_predictions(forest, X, "c"), _predictions(forest, wide, "c"))
+        assert np.array_equal(_predictions(forest, X), _predictions(forest, wide))
 
 
 @needs_c
@@ -187,10 +190,13 @@ class TestShapDifferential:
 
 
 class TestNarrowBatches:
-    @pytest.mark.parametrize("kernel", available_kernels())
-    def test_native_rejects_narrow_rows(self, kernel):
+    @pytest.mark.parametrize("kernel", [pytest.param("c", marks=needs_c), "numpy"])
+    def test_native_rejects_narrow_rows(self, kernel, request):
+        if kernel == "numpy":
+            request.getfixturevalue("no_ckernel")
         forest, X = _forest_and_rows()
-        engine = NativeEngine(forest, SPEC, kernel=kernel)
+        engine = NativeEngine(forest, SPEC)
+        assert engine.kernel == kernel
         with pytest.raises(ValueError, match="5 columns but the forest needs 6"):
             engine.predict(X[:, :5])
         with pytest.raises(ValueError, match="5 columns but the forest needs 6"):
@@ -294,27 +300,15 @@ class TestBuildCache:
 
 
 class TestFallback:
-    @pytest.fixture
-    def no_compiler(self, monkeypatch):
-        monkeypatch.setattr(ckernel, "_compiler", lambda: None)
-        monkeypatch.setattr(ckernel, "_lib", ckernel._UNSET)
-        monkeypatch.setattr(ckernel, "status", None)
-        assert ckernel.library() is None
-        assert "no C compiler" in ckernel.status
-
-    def test_engines_fall_back_to_numpy(self, no_compiler):
+    def test_engines_fall_back_to_numpy(self, no_ckernel):
         forest, X = _forest_and_rows()
-        assert available_kernels() == ("numpy", "scalar")
         engine = NativeEngine(forest, SPEC)
         assert engine.kernel == "numpy"
         result = engine.predict(X, report=True)
         assert result.report.meta["kernel"] == "numpy"
-        assert result.report.meta["shap_kernel"] == "numpy"
         assert np.array_equal(result.predictions, forest.predict(X))
-        with pytest.raises(ValueError, match="C kernels are unavailable"):
-            NativeEngine(forest, SPEC, kernel="c")
 
-    def test_explain_falls_back_to_numpy(self, no_compiler):
+    def test_explain_falls_back_to_numpy(self, no_ckernel):
         forest, X = _forest_and_rows()
         ps = build_path_set(forest)
         phi, _, _ = shap_kernel.compute_shap(ps, X)

@@ -16,7 +16,7 @@ Two pillars pin correctness:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FILEngine, TahoeEngine
@@ -136,10 +136,16 @@ class TestEfficiencyAxiom:
         )
 
     @given(random_forests())
-    @settings(max_examples=15, deadline=None)
-    def test_native_engine_numpy(self, forest_X):
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_native_engine_numpy(self, no_ckernel, forest_X):
         forest, X = forest_X
-        result = NativeEngine(forest, SPEC, kernel="numpy").explain(X)
+        engine = NativeEngine(forest, SPEC)
+        assert engine.kernel == "numpy"
+        result = engine.explain(X)
         assert result.time_domain == "wall"
         _check_efficiency(
             forest, X, result.attributions, result.base_values, result.predictions

@@ -1,8 +1,10 @@
 """Importer semantics: foreign split/leaf/missing conventions must map
 exactly onto our ``x < threshold``/``default_left`` trees."""
 
+import gc
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.modelstore import (
     from_xgboost_dump,
     from_xgboost_json,
     import_model,
+    load_model,
     sklearn_to_export_dict,
     sniff_format,
 )
@@ -451,3 +454,11 @@ class TestImportModelSniffing:
     def test_n_attributes_too_narrow_rejected(self):
         with pytest.raises(ModelImportError, match="narrower"):
             import_model(FIXTURES / "xgboost_model.json", n_attributes=2)
+
+    def test_loading_leaves_no_file_open(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for path in sorted(FIXTURES.iterdir()):
+                load_model(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

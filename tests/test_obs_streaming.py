@@ -90,6 +90,11 @@ def _full_scan_quantile(h, q):
     return h.max
 
 
+#: Quantile lists for the one-walk ``quantiles``: unsorted, repeated,
+#: and including the ``q <= 0`` / ``q >= 1`` extremes.
+_quantile_lists = st.lists(st.floats(min_value=-0.5, max_value=1.5), max_size=8)
+
+
 @given(parts=st.lists(st.lists(_values, max_size=100), min_size=1, max_size=4), q=_quantiles)
 @settings(max_examples=200, deadline=None)
 def test_merged_quantile_tracks_numpy_nearest_rank(parts, q):
@@ -110,6 +115,24 @@ def test_merged_quantile_tracks_numpy_nearest_rank(parts, q):
 def test_quantile_answers_match_full_scan(values, q):
     h = _fill(values)
     assert h.quantile(q) == _full_scan_quantile(h, q)
+
+
+@given(
+    parts=st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1e12), max_size=60), min_size=1, max_size=3
+    ),
+    qs=_quantile_lists,
+)
+@settings(max_examples=200, deadline=None)
+def test_quantiles_match_full_scan_per_q(parts, qs):
+    # Values reach into the underflow (0) and overflow (> 1e9) buckets.
+    merged = StreamingHistogram()
+    for part in parts:
+        merged.merge(_fill(part))
+    expected = [_full_scan_quantile(merged, q) for q in qs]
+    assert merged.quantiles(qs) == expected
+    single = _fill([v for part in parts for v in part])
+    assert single.quantiles(qs) == [_full_scan_quantile(single, q) for q in qs]
 
 
 def test_merge_rejects_mismatched_geometry():
@@ -136,6 +159,8 @@ def test_empty_histogram_is_safe():
     h = StreamingHistogram()
     assert h.count == 0
     assert h.quantile(0.5) == 0.0
+    assert h.quantiles((0.0, 0.5, 1.0)) == [0.0, 0.0, 0.0]
+    assert h.min == h.max == h.mean == 0.0
     assert h.summary()["count"] == 0
     assert h.cumulative_buckets() == []
 

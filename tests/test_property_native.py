@@ -7,7 +7,9 @@ aggregation semantics (mean vs sum with shrinkage and base score), and
 batch contents (including NaN and values exactly on thresholds) and
 asserts ``array_equal`` throughout.  Leaf values are dyadic rationals
 (integer / 16) so every float32 sum is exact regardless of association —
-any mismatch is a traversal bug, never float noise.
+any mismatch is a traversal bug, never float noise.  The engine runs
+the compiled kernel when it loaded and the numpy fallback under
+``pytest --no-ckernel``.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TahoeEngine
-from repro.core.native import NativeEngine
+from repro.core.native import NativeEngine, _traverse_numpy, _traverse_scalar
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF, DecisionTree
 
@@ -87,7 +89,7 @@ def random_forests(draw):
 @settings(max_examples=50, deadline=None)
 def test_native_is_bit_identical_to_tahoe(p100, case):
     forest, X = case
-    native = NativeEngine(forest, p100, kernel="numpy")
+    native = NativeEngine(forest, p100)
     tahoe = TahoeEngine(forest, p100)
     assert np.array_equal(
         native.predict(X).predictions,
@@ -100,13 +102,10 @@ def test_native_is_bit_identical_to_tahoe(p100, case):
 @settings(max_examples=20, deadline=None)
 def test_scalar_kernel_agrees_with_numpy(p100, case):
     forest, X = case
-    fast = NativeEngine(forest, p100, kernel="numpy")
-    slow = NativeEngine(forest, p100, kernel="scalar")
-    assert np.array_equal(
-        fast.predict(X).predictions,
-        slow.predict(X).predictions,
-        equal_nan=True,
-    )
+    flat = NativeEngine(forest, p100).flat
+    fast = _traverse_numpy(X, flat, np.empty(X.shape[0]))
+    slow = _traverse_scalar(X, flat, np.zeros((X.shape[0], 1)))
+    assert np.array_equal(fast, slow[:, 0], equal_nan=True)
 
 
 @given(st.integers(1, 8))
